@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Every subcommand accepts --seed/--tol/--jobs/--format after its name;
-seeded runs are byte-identical.  Exit codes: 0 success, 1 witness or
+Every subcommand accepts --format after its name; those with randomness
+take --seed, the solving ones --tol, the searching ones --jobs.  Seeded
+runs are byte-identical.  Exit codes: 0 success, 1 witness or
 violation found, 2 usage or input error.
 """
 
@@ -64,18 +65,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _solver_config(args, method=None, restarts=None) -> SolverConfig:
-    return SolverConfig(
-        method=method or getattr(args, "method", "auto"),
-        restarts=restarts or getattr(args, "restarts", 64),
-        tol=args.tol,
-        seed=args.seed,
-    )
+def _solver_config(args, **solve) -> SolverConfig:
+    return SolverConfig(tol=args.tol, seed=args.seed, **solve)
 
 
 def cmd_maximize(args) -> int:
     G = load_graph(args.graph)
-    res = maximize(G, _solver_config(args))
+    cfg = _solver_config(args, method=args.method, restarts=args.restarts)
+    res = maximize(G, cfg)
     if args.format == "json":
         return _emit_json(
             {
@@ -204,16 +201,7 @@ def cmd_search(args) -> int:
 
 def cmd_symmetrize(args) -> int:
     G = load_graph(args.graph)
-    constants = {
-        "gamma": args.gamma,
-        "beta": args.beta,
-        "alpha": args.alpha,
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-    }
-    trace = symmetrize(
-        G, args.alpha, fixed_n=args.fixed_n, constants=constants
-    )
+    trace = symmetrize(G, args.alpha, fixed_n=args.fixed_n)
     report = audit(trace)
     if args.trace:
         records = [
@@ -237,7 +225,6 @@ def cmd_symmetrize(args) -> int:
                 "final": _graph_obj(final_graph),
                 "vertex_fraction": report.final_vertex_fraction,
                 "target_fraction": 1.0 - args.alpha,
-                "constants": constants,
                 "audit_ok": report.ok,
                 "violations": [
                     {"check": c.name, "detail": c.detail}
@@ -396,11 +383,14 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-12)
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-12)
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=1)
 
     parser = argparse.ArgumentParser(
         prog="hlag",
@@ -409,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("family", parents=[common], help="emit a named family")
+    p = sub.add_parser("family", parents=[fmt], help="emit a named family")
     p.add_argument("--name", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=4)
@@ -418,12 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, default=None)
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate the edge polynomial")
+    p = sub.add_parser("eval", parents=[fmt], help="evaluate the edge polynomial")
     p.add_argument("--graph", required=True)
     p.add_argument("--weights", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("maximize", parents=[common], help="maximize the Lagrangian")
+    p = sub.add_parser("maximize", parents=[fmt, seed, tol], help="maximize the Lagrangian")
     p.add_argument("--graph", required=True)
     p.add_argument(
         "--method",
@@ -433,19 +423,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=64)
     p.set_defaults(func=cmd_maximize)
 
-    p = sub.add_parser("compress", parents=[common], help="densify and left-compress")
+    p = sub.add_parser("compress", parents=[fmt, seed, tol], help="densify and left-compress")
     p.add_argument("--graph", required=True)
     p.add_argument("--t", type=int, required=True)
     p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("free", parents=[common], help="freeness checks")
+    p = sub.add_parser("free", parents=[fmt], help="freeness checks")
     p.add_argument("--graph", required=True)
     p.add_argument("--pattern", choices=("m", "core", "hom"), required=True)
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--p", type=int, default=None)
     p.set_defaults(func=cmd_free)
 
-    p = sub.add_parser("search", parents=[common], help="exhaustive extremal search")
+    p = sub.add_parser("search", parents=[fmt, seed, jobs], help="exhaustive extremal search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=4)
     p.add_argument("--t", type=int, default=2)
@@ -453,24 +443,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unsafe-size", action="store_true")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("symmetrize", parents=[common], help="clean/merge to a fixed point")
+    p = sub.add_parser("symmetrize", parents=[fmt], help="clean/merge to a fixed point")
     p.add_argument("--graph", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--gamma", type=float, default=0.05)
-    p.add_argument("--beta", type=float, default=0.02)
-    p.add_argument("--epsilon", type=float, default=0.002)
-    p.add_argument("--delta", type=float, default=0.0005)
     p.add_argument("--fixed-n", type=int, default=None)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=cmd_symmetrize)
 
-    p = sub.add_parser("partition", parents=[common], help="minimize the sigma score")
+    p = sub.add_parser("partition", parents=[fmt, seed], help="minimize the sigma score")
     p.add_argument("--graph", required=True)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("verify", parents=[common], help="verification suites")
+    p = sub.add_parser("verify", parents=[fmt, seed, jobs], help="verification suites")
     p.add_argument("--suite", choices=("cases", "theorem"), required=True)
     p.add_argument("--n-min", type=int, default=None,
                    help="default 8 for cases, 4 for theorem")

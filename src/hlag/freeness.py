@@ -7,8 +7,6 @@ import itertools
 import multiprocessing
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import Hypergraph
 from .errors import UnsupportedSizeError
 from .families import extension
@@ -129,34 +127,33 @@ def is_core_free(G: Hypergraph, p: int, F: Hypergraph) -> FreenessReport:
         return FreenessReport(pattern, True)
     covered = _covered_matrix(G)
     edge_list = G.edge_list()
-    masks = _edge_masks(G)
 
     if _is_perfect_matching(F) and len(F.edges) == 2 and p == 2 * G.r:
-        # core = union of two disjoint edges; every cross pair must be
-        # covered, i.e. the second edge must lie in the common allowed set
-        if G.n <= 63:
-            marr = np.array(masks, dtype=np.uint64)
-            for k, e in enumerate(edge_list):
-                allowed = np.uint64(0)
-                for v in e:
-                    allowed |= np.uint64(((1 << G.n) - 1) ^ covered[v])
-                hits = np.nonzero(
-                    ((marr & np.uint64(masks[k])) == 0) & ((marr & allowed) == 0)
-                )[0]
-                if hits.size:
-                    f = edge_list[int(hits[0])]
-                    core = tuple(sorted(e + f))
-                    return FreenessReport(pattern, False, (core, (e, f)))
-        else:
-            for k, e in enumerate(edge_list):
-                allowed = (1 << G.n) - 1
-                for v in e:
-                    allowed &= covered[v]
-                for j, mj in enumerate(masks):
-                    if mj & masks[k] == 0 and mj & ~allowed == 0:
-                        f = edge_list[j]
-                        core = tuple(sorted(e + f))
-                        return FreenessReport(pattern, False, (core, (e, f)))
+        # core = union of two disjoint edges e, f with every cross pair
+        # covered.  Over edge indices, clash[v] holds the edges that cannot
+        # be f for an e through v: those through v itself or through a
+        # vertex sharing no edge with v
+        through = [0] * (G.n + 1)
+        for j, e in enumerate(edge_list):
+            for v in e:
+                through[v] |= 1 << j
+        clash = [0] * (G.n + 1)
+        for v in range(1, G.n + 1):
+            c = through[v]
+            for u in range(1, G.n + 1):
+                if u != v and not covered[v] >> (u - 1) & 1:
+                    c |= through[u]
+            clash[v] = c
+        every = (1 << len(edge_list)) - 1
+        for e in edge_list:
+            blocked = 0
+            for v in e:
+                blocked |= clash[v]
+            partners = every & ~blocked
+            if partners:
+                f = edge_list[(partners & -partners).bit_length() - 1]
+                core = tuple(sorted(e + f))
+                return FreenessReport(pattern, False, (core, (e, f)))
         return FreenessReport(pattern, True)
 
     # general path: grow cores around an embedded copy of F
@@ -429,7 +426,6 @@ def extremal_lambda_search(
     best = (-1.0, None)
     best_nonstar = (-1.0, None)
     for edges, value in results:
-        key = (value, edges)
         if value > best[0] + 1e-12 or (
             abs(value - best[0]) <= 1e-12 and best[1] is not None and edges < best[1]
         ):

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_GUARD_N = 12
+MAX_ITERATIONS = 500  # exponentiated-gradient steps per multistart ascent
 _CLAMP = 1e-12  # weights below _CLAMP * max(x) are treated as exact zeros
 
 
@@ -45,35 +46,35 @@ _CLAMP = 1e-12  # weights below _CLAMP * max(x) are treated as exact zeros
 class SolverConfig:
     """Knobs for :func:`maximize`.
 
-    ``guard_n`` bounds support enumeration; when None the HLAG_GUARD_N
-    environment variable (or 12) applies.
+    ``method`` is ``auto`` (support enumeration for n <= 8, multistart
+    ascent above), ``support-enum`` or ``multistart-ascent``.  The ascent
+    runs ``restarts`` Dirichlet starts drawn from ``seed`` plus the uniform
+    one, and stops once no start gains ``tol`` for 20 steps.  Support
+    enumeration is bounded by the HLAG_GUARD_N environment variable
+    (default 12).
     """
 
     method: str = "auto"
     restarts: int = 64
-    max_iterations: int = 500
     tol: float = 1e-12
-    kkt_tol: float = 1e-8
     seed: int = 0
-    guard_n: int | None = None
-    equalize: bool = True
 
     def __post_init__(self):
         if self.method not in ("auto", "multistart-ascent", "support-enum"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.restarts < 1 or self.tol <= 0 or self.kkt_tol <= 0:
-            raise ValueError("restarts must be >= 1 and tolerances positive")
+        if self.restarts < 1 or self.tol <= 0:
+            raise ValueError("restarts must be >= 1 and tol positive")
 
-    def resolved_guard(self) -> int:
-        if self.guard_n is not None:
-            return self.guard_n
-        env = os.environ.get("HLAG_GUARD_N")
-        if env:
-            try:
-                return int(env)
-            except ValueError:
-                pass
+
+def _guard_n() -> int:
+    """The support-enumeration size bound: HLAG_GUARD_N, or 12 when unset."""
+    env = os.environ.get("HLAG_GUARD_N")
+    if not env:
         return DEFAULT_GUARD_N
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"HLAG_GUARD_N must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -197,22 +198,28 @@ def _hessian(E: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return H
 
 
+def _restrict(E, n, S):
+    """Return S (0-based labels) sorted, and the edges of E inside S
+    relabeled to 0..len(S)-1; the edge array is empty when S carries no
+    edge."""
+    S = np.asarray(sorted(S), dtype=np.int64)
+    mask = np.zeros(n, dtype=bool)
+    mask[S] = True
+    pos = -np.ones(n, dtype=np.int64)
+    pos[S] = np.arange(len(S))
+    return S, pos[E[mask[E].all(axis=1)]]
+
+
 def _newton_on_support(E, n, r, S, x0=None, iters=60):
     """Damped Newton for the stationarity system on support S (0-based).
 
     Returns (full-length weighting, residual of the stationarity system) or
     (None, inf) when the support carries no edges.
     """
-    S = np.asarray(sorted(S), dtype=np.int64)
+    S, Es = _restrict(E, n, S)
     k = len(S)
-    mask = np.zeros(n, dtype=bool)
-    mask[S] = True
-    Es = E[mask[E].all(axis=1)]
     if Es.size == 0:
         return None, math.inf
-    pos = -np.ones(n, dtype=np.int64)
-    pos[S] = np.arange(k)
-    Es = pos[Es]
 
     x = np.full(k, 1.0 / k) if x0 is None else np.asarray(x0, dtype=float)
     g = _grad_rows(Es, x[None, :], k)[0]
@@ -261,16 +268,10 @@ def _eg_restricted(E, n, S, iters=3000, tol=1e-16):
     where the damped iteration stalls away from the stationary point.
     Returns the restricted point (length len(S)) or None without edges.
     """
-    S = np.asarray(sorted(S), dtype=np.int64)
+    S, Es = _restrict(E, n, S)
     k = len(S)
-    mask = np.zeros(n, dtype=bool)
-    mask[S] = True
-    Es = E[mask[E].all(axis=1)]
     if Es.size == 0:
         return None
-    pos = -np.ones(n, dtype=np.int64)
-    pos[S] = np.arange(k)
-    Es = pos[Es]
     x = np.full(k, 1.0 / k)
     val = float(_eval_rows(Es, x[None, :])[0])
     eta, stall = 1.0, 0
@@ -299,18 +300,10 @@ def _tangent_ascent_exists(E, n, S, x_full):
     A stationary point of the restricted problem with an ascent direction
     is a saddle, not the support's maximum, and needs re-seeding.
     """
-    S = np.asarray(sorted(S), dtype=np.int64)
+    S, Es = _restrict(E, n, S)
     k = len(S)
-    if k <= 1:
+    if k <= 1 or Es.size == 0:
         return False
-    mask = np.zeros(n, dtype=bool)
-    mask[S] = True
-    Es = E[mask[E].all(axis=1)]
-    if Es.size == 0:
-        return False
-    pos = -np.ones(n, dtype=np.int64)
-    pos[S] = np.arange(k)
-    Es = pos[Es]
     H = _hessian(Es, x_full[S], k)
     P = np.eye(k) - np.full((k, k), 1.0 / k)
     M = P @ H @ P
@@ -352,7 +345,7 @@ def _eg_ascent(E, n, cfg: SolverConfig, rng):
     eta = np.full(B, 1.0)
     val = _eval_rows(E, X)
     stall = 0
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         L = _grad_rows(E, X, n)
         shift = L - L.max(axis=1, keepdims=True)
         Y = X * np.exp(eta[:, None] * shift)
@@ -383,11 +376,11 @@ def _covered_within(edges_inside, members) -> bool:
 
 
 def _support_enum(G: Hypergraph, E, cfg: SolverConfig):
-    guard = cfg.resolved_guard()
+    guard = _guard_n()
     if G.n > guard:
         raise UnsupportedSizeError(
             f"support enumeration needs n <= {guard}, got n={G.n} "
-            "(raise via HLAG_GUARD_N or SolverConfig.guard_n)"
+            "(raise via HLAG_GUARD_N)"
         )
     n, r = G.n, G.r
     emasks = [sum(1 << (v - 1) for v in e) for e in G.edge_list()]
@@ -533,16 +526,15 @@ def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     else:
         x, used = _multistart(G, E, cfg)
 
-    if cfg.equalize:
-        avg = _equalize(G, x)
-        v_avg = float(_eval_rows(E, avg[None, :])[0])
-        v_cur = float(_eval_rows(E, x[None, :])[0])
-        if v_avg >= v_cur - 1e-10:
-            if v_avg > v_cur + 1e-12:
-                # averaging moved strictly uphill, so the point left its
-                # stationary basin; polish before reporting
-                avg = _polish_on_support(E, G.n, G.r, avg)
-            x = avg
+    avg = _equalize(G, x)
+    v_avg = float(_eval_rows(E, avg[None, :])[0])
+    v_cur = float(_eval_rows(E, x[None, :])[0])
+    if v_avg >= v_cur - 1e-10:
+        if v_avg > v_cur + 1e-12:
+            # averaging moved strictly uphill, so the point left its
+            # stationary basin; polish before reporting
+            avg = _polish_on_support(E, G.n, G.r, avg)
+        x = avg
     x = np.clip(x, 0.0, None)
     x[x < _CLAMP * x.max()] = 0.0
     x = x / x.sum()

@@ -206,19 +206,9 @@ class SymStep:
     state: PointedHypergraph
 
 
-DEFAULT_CONSTANTS = {
-    "gamma": 0.05,
-    "beta": 0.02,
-    "alpha": 0.01,
-    "epsilon": 0.002,
-    "delta": 0.0005,
-}
-
-
 @dataclass(frozen=True)
 class SymTrace:
     alpha: float
-    constants: dict
     input_n: int
     initial: PointedHypergraph
     steps: tuple
@@ -236,26 +226,17 @@ def symmetrize(
     alpha: float,
     check_free: bool = True,
     fixed_n: int | None = None,
-    constants: dict | None = None,
 ) -> SymTrace:
     """Run the clean/merge loop until a clean state has no uncovered
     representative pair; that state is the result.
 
     The input must be 4-uniform and must not contain two disjoint edges
     spanning a fully covered 8-set (checked unless ``check_free`` is off).
-    ``constants`` carries the companion parameters of alpha into the trace
-    for reporting; only alpha affects the run.
     """
     if G.r != 4:
         raise ValueError(f"symmetrization is defined for 4-graphs, got r={G.r}")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    consts = dict(DEFAULT_CONSTANTS)
-    if constants:
-        consts.update(constants)
-    consts["alpha"] = alpha
-    if any(v <= 0 for v in consts.values()):
-        raise ValueError("hierarchy constants must be positive")
     if check_free:
         report = is_core_free(G, 8, matching(2, 4))
         if not report.free:
@@ -283,7 +264,6 @@ def symmetrize(
             raise RuntimeError("symmetrization failed to settle")
     return SymTrace(
         alpha=alpha,
-        constants=consts,
         input_n=G.n,
         initial=initial_pointed(G),
         steps=tuple(steps),

@@ -443,7 +443,7 @@ def test_criterion_9_seeded_cli_determinism(tmp_path):
         ("search", ["search", "--n", "6", "--r", "4", "--t", "2",
                     "--seed", "5", "--jobs", "2"]),
         ("symmetrize", ["symmetrize", "--graph", str(graph), "--alpha",
-                        "0.05", "--seed", "2", "--trace", "trace.json"]),
+                        "0.05", "--trace", "trace.json"]),
         ("partition", ["partition", "--graph", str(graph), "--seed", "4",
                        "--format", "json"]),
         ("verify", ["verify", "--suite", "cases", "--n-min", "8", "--n-max",

@@ -1,9 +1,10 @@
+import argparse
 import io
 import json
 
 import pytest
 
-from hlag.cli import main
+from hlag.cli import build_parser, main
 from hlag.families import k53minus2, split, star
 from hlag.hgio import emit_hg, parse_graph, parse_hg
 
@@ -203,6 +204,30 @@ def test_verify_theorem_passes(capsys, tmp_path):
                        "--jobs", "2", "--witness-dir", str(tmp_path))
     assert code == 0
     assert "passed" in out
+
+
+def test_shared_flags_only_where_read():
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    shared = {"--format", "--seed", "--tol", "--jobs"}
+    flags = {
+        name: shared & {o for a in p._actions for o in a.option_strings}
+        for name, p in sub.choices.items()
+    }
+    fmt, seeded = {"--format"}, {"--format", "--seed"}
+    assert flags == {
+        "family": fmt,
+        "eval": fmt,
+        "maximize": seeded | {"--tol"},
+        "compress": seeded | {"--tol"},
+        "free": fmt,
+        "search": seeded | {"--jobs"},
+        "symmetrize": fmt,
+        "partition": seeded,
+        "verify": seeded | {"--jobs"},
+    }
 
 
 def test_usage_errors(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -68,6 +69,50 @@ def test_split_and_star_are_core_free():
     M2 = matching(2, 4)
     assert is_core_free(split(12, 4), 8, M2).free
     assert is_core_free(star(16, 4), 8, M2).free
+
+
+def _first_covered_disjoint_pair(G):
+    """Brute force: the first edge e (in edge-list order) with a disjoint
+    edge f whose every pair with e is covered, and the first such f."""
+    covered = set()
+    for e in G.edges:
+        covered.update(itertools.combinations(e, 2))
+    edges = G.edge_list()
+    for e in edges:
+        for f in edges:
+            if set(e).isdisjoint(f) and all(
+                tuple(sorted((a, b))) in covered for a in e for b in f
+            ):
+                return e, f
+    return None
+
+
+@pytest.mark.parametrize("n,m,planted", [
+    (12, 40, ()),
+    (12, 120, ()),
+    (63, 250, ()),
+    (63, 250, (2, 9, 17, 30, 41, 50, 58, 63)),
+    (64, 250, ()),
+    (64, 250, (5, 12, 33, 47, 60, 62, 63, 64)),
+    (80, 300, ()),
+    (80, 300, (64, 66, 69, 71, 74, 76, 78, 80)),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_core_free_matches_brute_force(n, m, planted, seed):
+    rng = random.Random(f"core-free:{n}:{m}:{seed}")
+    edges = set(itertools.combinations(planted, 4))
+    target = len(edges) + m
+    while len(edges) < target:
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), 4))))
+    G = Hypergraph(4, n, frozenset(edges))
+    rep = is_core_free(G, 8, matching(2, 4))
+    pair = _first_covered_disjoint_pair(G)
+    if pair is None:
+        assert rep.free and rep.witness is None
+    else:
+        e, f = pair
+        assert not rep.free
+        assert rep.witness == (tuple(sorted(e + f)), (e, f))
 
 
 def test_is_hom_free_matches_core_free():

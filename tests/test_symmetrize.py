@@ -6,7 +6,6 @@ from hlag.core import Hypergraph, blowup
 from hlag.errors import NotFreeError
 from hlag.families import complete, split, star
 from hlag.symmetrize import (
-    DEFAULT_CONSTANTS,
     PointedHypergraph,
     audit,
     clean,
@@ -66,8 +65,6 @@ def test_symmetrize_trace_shape():
     tr = symmetrize(split(12, 4), alpha=0.05)
     assert tr.alpha == 0.05
     assert tr.input_n == 12
-    assert tr.constants["alpha"] == 0.05
-    assert set(tr.constants) == set(DEFAULT_CONSTANTS)
     kinds = [s.kind for s in tr.steps]
     assert kinds[0] == "clean"
     assert "merge" in kinds
@@ -108,8 +105,6 @@ def test_symmetrize_argument_validation():
         symmetrize(split(12, 4), alpha=0.0)
     with pytest.raises(ValueError):
         symmetrize(split(12, 3) if False else Hypergraph(3, 6, frozenset()), alpha=0.05)
-    with pytest.raises(ValueError):
-        symmetrize(split(12, 4), alpha=0.05, constants={"gamma": -1.0})
 
 
 @pytest.mark.parametrize(
