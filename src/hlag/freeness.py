@@ -3,6 +3,7 @@ left-compressed extremal search at small n."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 from dataclasses import dataclass
@@ -218,16 +219,15 @@ def is_hom_free(G: Hypergraph, F: Hypergraph, p: int) -> FreenessReport:
     return FreenessReport(f"hom(p={p})", report.free, report.witness)
 
 
-def hom_search(G: Hypergraph, F: Hypergraph, p: int, guard: int | None = None):
+def hom_search(G: Hypergraph, F: Hypergraph, p: int):
     """Direct backtracking search for a homomorphism extension(F, p) -> G.
 
     Returns the vertex map as a tuple (image of vertex v at index v-1), or
     None.  Guarded: meant for cross-validation on small hosts.
     """
-    guard = HOM_GUARD_N if guard is None else guard
-    if G.n > guard:
+    if G.n > HOM_GUARD_N:
         raise UnsupportedSizeError(
-            f"hom search needs n <= {guard}, got n={G.n}"
+            f"hom search needs n <= {HOM_GUARD_N}, got n={G.n}"
         )
     H = extension(F, p)
     hedges = sorted(H.edges)
@@ -272,21 +272,46 @@ def hom_search(G: Hypergraph, F: Hypergraph, p: int, guard: int | None = None):
     return rec([])
 
 
-def _colex_edges(n, r):
-    return sorted(
-        itertools.combinations(range(1, n + 1), r), key=lambda e: e[::-1]
-    )
+class _ColexTable:
+    """The edges of K_n^r in colex order, with what the enumeration and the
+    maximality test both need per edge: its vertex bitmask and its
+    single-replacement predecessors (swap one vertex for the next label
+    down when that label is outside the edge) as a bitmask over edge
+    indices.  Predecessors come earlier in colex order."""
+
+    def __init__(self, n, r):
+        self.n, self.r = n, r
+        self.edges = tuple(sorted(
+            itertools.combinations(range(1, n + 1), r), key=lambda e: e[::-1]
+        ))
+        index = {e: k for k, e in enumerate(self.edges)}
+        self.masks = tuple(sum(1 << (v - 1) for v in e) for e in self.edges)
+        preds = []
+        for e in self.edges:
+            se = set(e)
+            bits = 0
+            for v in e:
+                if v - 1 >= 1 and v - 1 not in se:
+                    bits |= 1 << index[tuple(sorted(se - {v} | {v - 1}))]
+            preds.append(bits)
+        self.preds = tuple(preds)
+
+    def addable(self, k, present, chosen_masks, t) -> bool:
+        """Whether edge k may join the family whose edge indices are the
+        bits of ``present`` and whose vertex masks are ``chosen_masks``:
+        all its predecessors are present and it completes no t pairwise
+        disjoint edges."""
+        if self.preds[k] & ~present:
+            return False
+        avail = [mk for mk in chosen_masks if mk & self.masks[k] == 0]
+        size, _ = _max_matching(avail, self.n, self.r, stop_at=t - 1)
+        return size < t - 1
 
 
-def _predecessors(e):
-    """Single-replacement predecessors: swap one vertex for the next label
-    down when that label is outside the edge."""
-    se = set(e)
-    out = []
-    for v in e:
-        if v - 1 >= 1 and v - 1 not in se:
-            out.append(tuple(sorted(se - {v} | {v - 1})))
-    return out
+@functools.lru_cache(maxsize=None)
+def _colex_table(n, r) -> _ColexTable:
+    """The read-only table for (n, r), built once per process."""
+    return _ColexTable(n, r)
 
 
 def enumerate_left_compressed_free(n, r, t, guard: int | None = None):
@@ -302,58 +327,37 @@ def enumerate_left_compressed_free(n, r, t, guard: int | None = None):
             f"enumeration needs n <= {guard}, got n={n} "
             "(raise via the guard argument)"
         )
-    all_edges = _colex_edges(n, r)
-    preds = [_predecessors(e) for e in all_edges]
-    masks = [sum(1 << (v - 1) for v in e) for e in all_edges]
+    table = _colex_table(n, r)
 
-    def creates_matching(chosen_masks, new_mask):
-        # would adding new_mask complete t pairwise disjoint edges?
-        avail = [mk for mk in chosen_masks if mk & new_mask == 0]
-        if t <= 1:
-            return True
-        size, _ = _max_matching(avail, n, r, stop_at=t - 1)
-        return size >= t - 1
-
-    def rec(start, chosen, chosen_set, chosen_masks):
-        progressed = False
-        for k in range(start, len(all_edges)):
-            if not all(pe in chosen_set for pe in preds[k]):
+    def rec(start, chosen, present, chosen_masks):
+        for k in range(start, len(table.edges)):
+            if not table.addable(k, present, chosen_masks, t):
                 continue
-            if creates_matching(chosen_masks, masks[k]):
-                continue
-            progressed = True
             # exclude branch first: the edge stays out for good
-            yield from rec(k + 1, chosen, chosen_set, chosen_masks)
-            chosen.append(all_edges[k])
-            chosen_set.add(all_edges[k])
-            chosen_masks.append(masks[k])
-            yield from rec(k + 1, chosen, chosen_set, chosen_masks)
+            yield from rec(k + 1, chosen, present, chosen_masks)
+            chosen.append(table.edges[k])
+            chosen_masks.append(table.masks[k])
+            yield from rec(k + 1, chosen, present | 1 << k, chosen_masks)
             chosen.pop()
-            chosen_set.discard(all_edges[k])
             chosen_masks.pop()
             return
-        if not progressed:
-            yield frozenset(chosen)
+        yield frozenset(chosen)
 
-    yield from rec(0, [], set(), [])
+    yield from rec(0, [], 0, [])
 
 
 def _is_maximal(edges: frozenset, n, r, t) -> bool:
-    all_edges = _colex_edges(n, r)
-    masks_by_edge = {
-        e: sum(1 << (v - 1) for v in e) for e in all_edges
-    }
-    chosen_masks = [masks_by_edge[e] for e in sorted(edges)]
-    for e in all_edges:
+    """No edge outside ``edges`` can join it (see ``_ColexTable.addable``)."""
+    table = _colex_table(n, r)
+    present, chosen_masks = 0, []
+    for k, e in enumerate(table.edges):
         if e in edges:
-            continue
-        if not all(pe in edges for pe in _predecessors(e)):
-            continue
-        avail = [mk for mk in chosen_masks if mk & masks_by_edge[e] == 0]
-        size, _ = _max_matching(avail, n, r, stop_at=t - 1)
-        if size < t - 1:
-            return False
-    return True
+            present |= 1 << k
+            chosen_masks.append(table.masks[k])
+    return not any(
+        not present >> k & 1 and table.addable(k, present, chosen_masks, t)
+        for k in range(len(table.edges))
+    )
 
 
 def _is_star_subgraph(edges) -> bool:
@@ -395,14 +399,13 @@ def extremal_lambda_search(
     r,
     t,
     jobs: int = 1,
-    maximal_only: bool = True,
     seed: int = 0,
     guard: int | None = None,
 ) -> SearchResult:
     """Maximize lambda over all left-compressed free graphs on [n].
 
-    By default only maximal families are evaluated (lambda is monotone
-    under subgraphs, so the maximum is attained on a maximal family).
+    Only maximal families are evaluated: lambda is monotone under
+    subgraphs, so the maximum is attained on a maximal family.
     """
     families = 0
     to_eval = []
@@ -410,7 +413,7 @@ def extremal_lambda_search(
         families += 1
         if not edges:
             continue
-        if maximal_only and not _is_maximal(edges, n, r, t):
+        if not _is_maximal(edges, n, r, t):
             continue
         to_eval.append(tuple(sorted(edges)))
     to_eval.sort()

@@ -104,7 +104,6 @@ def min_sigma_partition(
     restarts: int = 32,
     seed: int = 0,
     exhaustive: bool = False,
-    guard: int = EXACT_GUARD_N,
 ) -> MinSigmaResult:
     """Minimize sigma over all 2^n labeled partitions.
 
@@ -131,10 +130,10 @@ def min_sigma_partition(
         if best_sigma is None or key < (best_sigma, best_w1):
             best_sigma, best_w1 = key
     if exhaustive:
-        if G.n > guard:
+        if G.n > EXACT_GUARD_N:
             raise UnsupportedSizeError(
-                f"exhaustive partition search needs n <= {guard}, got n={G.n} "
-                "(raise via the guard argument)"
+                f"exhaustive partition search needs n <= {EXACT_GUARD_N}, "
+                f"got n={G.n}"
             )
         best_sigma, best_w1 = _branch_and_bound(G, edges, best_sigma, best_w1)
 

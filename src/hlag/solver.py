@@ -412,13 +412,6 @@ def _support_enum(G: Hypergraph, E, cfg: SolverConfig):
             x2, f2 = _newton_on_support(E, n, r, S, x0=seed)
             if x2 is not None and f2 < fnorm:
                 x, fnorm = x2, f2
-        if x is not None and fnorm > 1e-9:
-            # last resort: ride gradient ascent into the basin, then polish
-            seed = _eg_restricted(E, n, S)
-            if seed is not None:
-                x3, f3 = _newton_on_support(E, n, r, S, x0=seed)
-                if x3 is not None and f3 < fnorm:
-                    x, fnorm = x3, f3
         if (
             x is not None
             and fnorm <= 1e-6

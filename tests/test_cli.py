@@ -206,6 +206,14 @@ def test_verify_theorem_passes(capsys, tmp_path):
     assert "passed" in out
 
 
+def test_verify_theorem_rejects_restarts(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--suite", "theorem", "--n-max", "5",
+                         "--restarts", "4", "--witness-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "--restarts applies only to --suite cases" in err
+
+
 def test_shared_flags_only_where_read():
     sub = next(
         a for a in build_parser()._actions

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from hlag.compression import is_left_compressed
 from hlag.core import Hypergraph
 from hlag.errors import UnsupportedSizeError
 from hlag.families import complete, extension, matching, split, star
 from hlag.freeness import (
+    _is_maximal,
     enumerate_left_compressed_free,
     extremal_lambda_search,
     hom_search,
@@ -15,6 +17,7 @@ from hlag.freeness import (
     is_matching_free,
     matching_number,
 )
+from hlag.solver import maximize
 
 # enumeration freeze, cross-checked pre-build by brute force at n=5
 FAMILY_COUNTS = {5: 6, 6: 32, 7: 352, 8: 3978}
@@ -143,8 +146,6 @@ def test_enumeration_counts(n):
 
 
 def test_enumeration_members_are_free_and_compressed():
-    from hlag.compression import is_left_compressed
-
     for edges in enumerate_left_compressed_free(6, 4, 2):
         G = Hypergraph(4, 6, frozenset(edges))
         assert is_left_compressed(G)
@@ -178,12 +179,40 @@ def test_search_jobs_equivalence():
 
 
 def test_search_all_families_mode():
-    res_all = extremal_lambda_search(6, 4, 2, maximal_only=False)
-    res_max = extremal_lambda_search(6, 4, 2, maximal_only=True)
-    assert res_all.families == 32
-    assert res_all.evaluated == 31  # everything but the empty family
-    assert res_max.evaluated < res_all.evaluated
-    assert res_all.max_value == pytest.approx(res_max.max_value, abs=1e-9)
+    # the maximal-only search loses nothing against solving every family
+    families = [f for f in enumerate_left_compressed_free(6, 4, 2) if f]
+    assert len(families) == 31  # everything but the empty family
+    best = max(maximize(Hypergraph(4, 6, f)).value for f in families)
+    res = extremal_lambda_search(6, 4, 2)
+    assert res.evaluated < len(families)
+    assert res.max_value == pytest.approx(best, abs=1e-9)
+
+
+def _maximal_by_definition(edges, n):
+    # no edge outside keeps F + e left-compressed and 2-matching-free
+    for e in itertools.combinations(range(1, n + 1), 4):
+        if e in edges:
+            continue
+        G = Hypergraph(4, n, edges | {e})
+        if is_left_compressed(G) and is_matching_free(G, 2).free:
+            return False
+    return True
+
+
+# below n = 8 no two 4-sets are disjoint, so only n = 8 tests the matching
+# half of the definition
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_is_maximal_matches_definition(n):
+    for edges in enumerate_left_compressed_free(n, 4, 2):
+        assert _is_maximal(edges, n, 4, 2) == _maximal_by_definition(edges, n)
+
+
+def test_maximal_family_count_n8():
+    maximal = [
+        f for f in enumerate_left_compressed_free(8, 4, 2)
+        if _is_maximal(f, 8, 4, 2)
+    ]
+    assert len(maximal) == 72
 
 
 def test_search_nonstar_sentinel_at_n4():

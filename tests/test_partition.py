@@ -71,9 +71,6 @@ def test_min_sigma_exhaustive_recovers_split():
 def test_exhaustive_guard():
     with pytest.raises(UnsupportedSizeError):
         min_sigma_partition(split(24, 4), exhaustive=True)
-    # raising the guard keeps the call legal
-    res = min_sigma_partition(split(8, 4), exhaustive=True, guard=24)
-    assert res.score.sigma == 0
 
 
 def test_min_sigma_perturbed_split_stays_small():

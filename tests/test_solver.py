@@ -83,6 +83,20 @@ def test_methods_agree_on_k53minus2():
     assert abs(exact.value - ascent.value) <= 1e-8
 
 
+def test_support_enum_reseeds_past_a_saddle():
+    # Newton from the uniform start stops at a saddle of the full-support
+    # problem; without the ascent re-seed the answer is one edge, 1/256
+    G = Hypergraph(4, 6, frozenset(
+        [(1, 2, 3, 5), (1, 2, 5, 6), (1, 3, 4, 6), (2, 3, 4, 6), (3, 4, 5, 6)]
+    ))
+    exact = maximize(G, SolverConfig(method="support-enum"))
+    ascent = maximize(G, SolverConfig(method="multistart-ascent"))
+    assert exact.value == pytest.approx(0.004284952100978671, abs=1e-12)
+    assert exact.support == (1, 2, 3, 4, 5, 6)
+    assert exact.kkt_residual <= 1e-8
+    assert abs(exact.value - ascent.value) <= 1e-9
+
+
 def test_lambda_matching_support_is_one_edge():
     res = maximize(matching(2, 4))
     assert res.value == pytest.approx(1 / 256, abs=1e-12)
