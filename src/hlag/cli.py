@@ -309,19 +309,13 @@ def cmd_verify(args) -> int:
     if args.suite == "cases":
         n_min = args.n_min if args.n_min is not None else 8
         n_max = args.n_max if args.n_max is not None else 14
-        rows = verify_cases(
-            range(n_min, n_max + 1),
-            seed=args.seed,
-            restarts=args.restarts if args.restarts is not None else 16,
-        )
+        rows = verify_cases(range(n_min, n_max + 1), seed=args.seed)
         if args.format == "json":
             _emit_json([dataclasses.asdict(r) for r in rows])
             return 0 if all(r.passed for r in rows) else 1
         failures = _render_rows(rows)
         return 0 if failures == 0 else 1
 
-    if args.restarts is not None:
-        raise ValueError("--restarts applies only to --suite cases")
     n_min = args.n_min if args.n_min is not None else 4
     n_max = args.n_max if args.n_max is not None else 7
     summary = verify_theorem(
@@ -464,8 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default 8 for cases, 4 for theorem")
     p.add_argument("--n-max", type=int, default=None,
                    help="default 14 for cases, 7 for theorem")
-    p.add_argument("--restarts", type=int, default=None,
-                   help="cases suite only, default 16")
     p.add_argument("--witness-dir", default=".")
     p.add_argument("--unsafe-size", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -57,6 +57,8 @@ BOUND_TOL = 1e-7
 IDENTITY_TOL = 1e-6
 EQUALITY_TOL = 1e-9
 SCALAR_TOL = 1e-10
+# multistart restarts for every solve the suites make
+RESTARTS = 16
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -120,11 +122,11 @@ def golden_max(f, a, b, xtol=1e-12):
     return x, f(x)
 
 
-def _solve(G: Hypergraph, seed: int, restarts: int):
+def _solve(G: Hypergraph, seed: int):
     """Multistart ascent, cross-checked against support enumeration on
     small graphs; the better value wins."""
     res = maximize(
-        G, SolverConfig(method="multistart-ascent", restarts=restarts, seed=seed)
+        G, SolverConfig(method="multistart-ascent", restarts=RESTARTS, seed=seed)
     )
     if G.n <= 8:
         enum = maximize(G, SolverConfig(method="support-enum", seed=seed))
@@ -133,7 +135,7 @@ def _solve(G: Hypergraph, seed: int, restarts: int):
     return res
 
 
-def verify_cases(n_range=None, seed: int = 0, restarts: int = 16):
+def verify_cases(n_range=None, seed: int = 0):
     """The table of case-by-case checks.
 
     For every case k in 1..14 and every n in the range: lambda against the
@@ -149,12 +151,12 @@ def verify_cases(n_range=None, seed: int = 0, restarts: int = 16):
     if not ns:
         raise ValueError("empty n range")
     rows = []
-    reduce_cfg = SolverConfig(seed=seed, restarts=restarts)
+    reduce_cfg = SolverConfig(seed=seed, restarts=RESTARTS)
 
     for k in sorted(CASE_BOUNDS):
         for n in ns:
             G = case_family(k, n)
-            res = _solve(G, seed, restarts)
+            res = _solve(G, seed)
             rows.append(
                 _row(
                     f"case{k:02d}-bound-n{n}",
@@ -182,7 +184,7 @@ def verify_cases(n_range=None, seed: int = 0, restarts: int = 16):
             )
 
     for n in ns:
-        res = _solve(star(n, 4), seed, restarts)
+        res = _solve(star(n, 4), seed)
         rows.append(
             _row(
                 f"star-value-n{n}",
@@ -195,7 +197,7 @@ def verify_cases(n_range=None, seed: int = 0, restarts: int = 16):
             )
         )
 
-    res = _solve(k53minus2(), seed, restarts)
+    res = _solve(k53minus2(), seed)
     rows.append(
         _row(
             "k53minus2-bound",
@@ -290,7 +292,7 @@ def verify_theorem(
             n, 4, 2, jobs=jobs, seed=seed, guard=guard
         )
         results.append(sr)
-        star_res = _solve(star(n, 4), seed, restarts=16)
+        star_res = _solve(star(n, 4), seed)
         formula = float(star_lambda(n))
         nonstar_ok = (
             sr.nonstar_witness is None or sr.max_nonstar_value < NONSTAR_CUTOFF

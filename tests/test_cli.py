@@ -207,11 +207,13 @@ def test_verify_theorem_passes(capsys, tmp_path):
 
 
 def test_verify_theorem_rejects_restarts(capsys, tmp_path):
-    code, out, err = run(capsys, "verify", "--suite", "theorem", "--n-max", "5",
-                         "--restarts", "4", "--witness-dir", str(tmp_path))
-    assert code == 2
-    assert out == ""
-    assert "--restarts applies only to --suite cases" in err
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "--suite", "theorem", "--n-max", "5",
+              "--restarts", "4", "--witness-dir", str(tmp_path)])
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --restarts 4" in captured.err
 
 
 def test_shared_flags_only_where_read():
