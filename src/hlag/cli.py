@@ -3,7 +3,7 @@
 Every subcommand accepts --format after its name; those with randomness
 take --seed, the solving ones --tol, the searching ones --jobs.  Seeded
 runs are byte-identical.  Exit codes: 0 success, 1 witness or
-violation found, 2 usage or input error.
+violation found or an iteration bound reached, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -487,6 +487,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # the compression budget or the symmetrization cap ran out
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

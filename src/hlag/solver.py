@@ -10,6 +10,14 @@ cross-check each other:
   size), solving the stationarity system on each support by damped Newton.
 
 ``auto`` picks support-enum for small graphs and multistart otherwise.
+
+Both routes solve on the classes of vertices with mirrored links rather
+than on vertices: swapping two such vertices is an automorphism, so
+averaging their weights never lowers the value (the symmetrization of
+Frankl and Rodl), and some optimum is constant on every class.  With mass
+z_c on class c and x_v = z_c / |c|, the Lagrangian is a weighted sum of
+monomials in z over the edges' sorted class tuples; the solve runs on that
+quotient and the answer is lifted back to vertices.
 """
 
 from __future__ import annotations
@@ -151,26 +159,78 @@ def kkt_report(G: Hypergraph, x) -> KktReport:
 
 # ---------------------------------------------------------------------------
 # vectorized internals
+#
+# The kernels take a term array E of 0-based variable indices, one row per
+# term (a row may repeat an index), and a weight w_t per row: the
+# polynomial is sum_t w_t prod_j x[E[t, j]].
 
 
-def _edge_array(G: Hypergraph) -> np.ndarray:
-    return np.asarray(G.edge_list(), dtype=np.int64).reshape(-1, G.r) - 1
+def _classes(G: Hypergraph) -> tuple:
+    """Classes of vertices with mirrored links, ordered by smallest vertex.
+
+    The union-find over ``same_links`` pairs; each class is a sorted tuple
+    of labels.
+    """
+    parent = list(range(G.n + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(1, G.n + 1):
+        for j in range(i + 1, G.n + 1):
+            if find(i) != find(j) and same_links(G, i, j):
+                parent[find(j)] = find(i)
+    classes = {}
+    for v in range(1, G.n + 1):
+        classes.setdefault(find(v), []).append(v)
+    return tuple(tuple(members) for members in classes.values())
 
 
-def _eval_rows(E: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _quotient(G: Hypergraph, classes):
+    """The Lagrangian as a polynomial in class masses z_c = sum_{v in c} x_v.
+
+    Each edge maps to the sorted tuple of its vertices' class indices, and
+    equal tuples merge into one term of weight count / prod_c |c|^k_c, so
+    the quotient at z equals lambda(G) at x_v = z_c / |c|.  Returns the
+    term array, the weights, the class sizes and each vertex's class
+    index.  With singleton classes the terms are ``edge_list()`` in order
+    with weight 1.0.
+    """
+    of = [0] * G.n
+    for c, members in enumerate(classes):
+        for v in members:
+            of[v - 1] = c
+    sizes = [len(members) for members in classes]
+    counts = {}
+    for e in G.edge_list():
+        key = tuple(sorted(of[v - 1] for v in e))
+        counts[key] = counts.get(key, 0) + 1
+    E = np.asarray(list(counts), dtype=np.int64).reshape(-1, G.r)
+    w = np.array(
+        [cnt / math.prod(sizes[c] for c in key) for key, cnt in counts.items()]
+    )
+    return E, w, np.asarray(sizes, dtype=float), np.asarray(of, dtype=np.int64)
+
+
+def _eval_rows(E: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     if E.size == 0:
         return np.zeros(X.shape[0])
-    return np.prod(X[:, E], axis=2).sum(axis=1)
+    return (np.prod(X[:, E], axis=2) * w).sum(axis=1)
 
 
-def _grad_rows(E: np.ndarray, X: np.ndarray, n: int) -> np.ndarray:
+def _grad_rows(E: np.ndarray, w: np.ndarray, X: np.ndarray, n: int) -> np.ndarray:
     B = X.shape[0]
     if E.size == 0:
         return np.zeros((B, n))
     W = X[:, E]  # (B, m, r)
     r = E.shape[1]
-    pre = np.ones_like(W)
-    suf = np.ones_like(W)
+    pre = np.empty_like(W)
+    suf = np.empty_like(W)
+    pre[:, :, 0] = w  # the term weight rides on the prefix products
+    suf[:, :, r - 1] = 1.0
     for t in range(1, r):
         pre[:, :, t] = pre[:, :, t - 1] * W[:, :, t - 1]
     for t in range(r - 2, -1, -1):
@@ -181,7 +241,7 @@ def _grad_rows(E: np.ndarray, X: np.ndarray, n: int) -> np.ndarray:
     return flat.reshape(B, n)
 
 
-def _hessian(E: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+def _hessian(E: np.ndarray, w: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     H = np.zeros((n, n))
     if E.size == 0:
         return H
@@ -190,7 +250,7 @@ def _hessian(E: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
         for ib in range(r):
             if ia == ib:
                 continue
-            p = np.ones(E.shape[0])
+            p = w
             for t in range(r):
                 if t != ia and t != ib:
                     p = p * x[E[:, t]]
@@ -198,37 +258,38 @@ def _hessian(E: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return H
 
 
-def _restrict(E, n, S):
-    """Return S (0-based labels) sorted, and the edges of E inside S
-    relabeled to 0..len(S)-1; the edge array is empty when S carries no
-    edge."""
+def _restrict(E, w, n, S):
+    """Return S (0-based labels) sorted, and the terms of E inside S
+    relabeled to 0..len(S)-1 with their weights; the term array is empty
+    when S carries no term."""
     S = np.asarray(sorted(S), dtype=np.int64)
     mask = np.zeros(n, dtype=bool)
     mask[S] = True
     pos = -np.ones(n, dtype=np.int64)
     pos[S] = np.arange(len(S))
-    return S, pos[E[mask[E].all(axis=1)]]
+    inside = mask[E].all(axis=1)
+    return S, pos[E[inside]], w[inside]
 
 
-def _newton_on_support(E, n, r, S, x0=None, iters=60):
+def _newton_on_support(E, w, n, S, x0=None, iters=60):
     """Damped Newton for the stationarity system on support S (0-based).
 
     Returns (full-length weighting, residual of the stationarity system) or
-    (None, inf) when the support carries no edges.
+    (None, inf) when the support carries no terms.
     """
-    S, Es = _restrict(E, n, S)
+    S, Es, ws = _restrict(E, w, n, S)
     k = len(S)
     if Es.size == 0:
         return None, math.inf
 
     x = np.full(k, 1.0 / k) if x0 is None else np.asarray(x0, dtype=float)
-    g = _grad_rows(Es, x[None, :], k)[0]
+    g = _grad_rows(Es, ws, x[None, :], k)[0]
     c = float(x @ g)  # r*lam at start
     fnorm = max(np.abs(g - c).max(), abs(x.sum() - 1.0))
     for _ in range(iters):
         if fnorm < 1e-14:
             break
-        H = _hessian(Es, x, k)
+        H = _hessian(Es, ws, x, k)
         J = np.zeros((k + 1, k + 1))
         J[:k, :k] = H
         J[:k, k] = -1.0
@@ -243,7 +304,7 @@ def _newton_on_support(E, n, r, S, x0=None, iters=60):
             xn = x + t * step[:k]
             cn = c + t * step[k]
             if xn.min() >= -1e-10:
-                gn = _grad_rows(Es, xn[None, :], k)[0]
+                gn = _grad_rows(Es, ws, xn[None, :], k)[0]
                 fn = max(np.abs(gn - cn).max(), abs(xn.sum() - 1.0))
                 if fn < fnorm:
                     x, c, g, fnorm, accepted = xn, cn, gn, fn, True
@@ -261,28 +322,28 @@ def _newton_on_support(E, n, r, S, x0=None, iters=60):
     return out, fnorm
 
 
-def _eg_restricted(E, n, S, iters=3000, tol=1e-16):
+def _eg_restricted(E, w, n, S, iters=3000, tol=1e-16):
     """Single-chain exponentiated-gradient ascent confined to support S.
 
     Deterministic (uniform start, no RNG); used to seed Newton on supports
     where the damped iteration stalls away from the stationary point.
-    Returns the restricted point (length len(S)) or None without edges.
+    Returns the restricted point (length len(S)) or None without terms.
     """
-    S, Es = _restrict(E, n, S)
+    S, Es, ws = _restrict(E, w, n, S)
     k = len(S)
     if Es.size == 0:
         return None
     x = np.full(k, 1.0 / k)
-    val = float(_eval_rows(Es, x[None, :])[0])
+    val = float(_eval_rows(Es, ws, x[None, :])[0])
     eta, stall = 1.0, 0
     for _ in range(iters):
-        g = _grad_rows(Es, x[None, :], k)[0]
+        g = _grad_rows(Es, ws, x[None, :], k)[0]
         y = x * np.exp(eta * (g - g.max()))
         s = y.sum()
         if s <= 0:
             break
         y = y / s
-        vy = float(_eval_rows(Es, y[None, :])[0])
+        vy = float(_eval_rows(Es, ws, y[None, :])[0])
         if vy >= val:
             stall = stall + 1 if vy - val < tol else 0
             x, val, eta = y, vy, min(eta * 1.3, 1e6)
@@ -294,64 +355,39 @@ def _eg_restricted(E, n, S, iters=3000, tol=1e-16):
     return x
 
 
-def _tangent_ascent_exists(E, n, S, x_full):
+def _tangent_ascent_exists(E, w, n, S, x_full):
     """True when the simplex-tangent Hessian at x has positive curvature.
 
     A stationary point of the restricted problem with an ascent direction
     is a saddle, not the support's maximum, and needs re-seeding.
     """
-    S, Es = _restrict(E, n, S)
+    S, Es, ws = _restrict(E, w, n, S)
     k = len(S)
     if k <= 1 or Es.size == 0:
         return False
-    H = _hessian(Es, x_full[S], k)
+    H = _hessian(Es, ws, x_full[S], k)
     P = np.eye(k) - np.full((k, k), 1.0 / k)
     M = P @ H @ P
-    w = np.linalg.eigvalsh((M + M.T) / 2.0)
-    return bool(w[-1] > 1e-12 + 1e-9 * float(np.abs(H).max()))
+    eig = np.linalg.eigvalsh((M + M.T) / 2.0)
+    return bool(eig[-1] > 1e-12 + 1e-9 * float(np.abs(H).max()))
 
 
-def _polish_on_support(E, n, r, x_full):
-    """Newton polish of a full-length point on its positive support.
-
-    Falls back to an ascent-seeded retry when Newton stalls; returns the
-    input unchanged unless the polished point is stationary and at least
-    as valuable.
-    """
-    S = np.where(x_full > 0)[0]
-    if len(S) == 0:
-        return x_full
-    x0 = x_full[S] / x_full[S].sum()
-    pol, fn = _newton_on_support(E, n, r, S, x0=x0)
-    if fn > 1e-6:
-        seed = _eg_restricted(E, n, S)
-        if seed is not None:
-            p2, f2 = _newton_on_support(E, n, r, S, x0=seed)
-            if p2 is not None and f2 < fn:
-                pol, fn = p2, f2
-    if pol is None or fn > 1e-6:
-        return x_full
-    v_new = float(_eval_rows(E, pol[None, :])[0])
-    v_old = float(_eval_rows(E, x_full[None, :])[0])
-    return pol if v_new >= v_old - 1e-12 else x_full
-
-
-def _eg_ascent(E, n, cfg: SolverConfig, rng):
-    """Batched exponentiated-gradient ascent; returns (X rows, values)."""
+def _eg_ascent(E, w, start, cfg: SolverConfig, rng):
+    """Batched exponentiated-gradient ascent from ``start`` and
+    ``cfg.restarts`` Dirichlet(1) points; returns (X rows, values)."""
+    n = len(start)
     B = cfg.restarts + 1
-    X = np.vstack(
-        [np.full((1, n), 1.0 / n), rng.dirichlet(np.ones(n), size=cfg.restarts)]
-    )
+    X = np.vstack([start[None, :], rng.dirichlet(np.ones(n), size=cfg.restarts)])
     eta = np.full(B, 1.0)
-    val = _eval_rows(E, X)
+    val = _eval_rows(E, w, X)
     stall = 0
     for _ in range(MAX_ITERATIONS):
-        L = _grad_rows(E, X, n)
+        L = _grad_rows(E, w, X, n)
         shift = L - L.max(axis=1, keepdims=True)
         Y = X * np.exp(eta[:, None] * shift)
         s = Y.sum(axis=1, keepdims=True)
         Y = np.where(s > 0, Y / np.where(s > 0, s, 1.0), X)
-        vy = _eval_rows(E, Y)
+        vy = _eval_rows(E, w, Y)
         acc = vy >= val
         improvement = np.where(acc, vy - val, 0.0).max()
         X = np.where(acc[:, None], Y, X)
@@ -366,143 +402,122 @@ def _eg_ascent(E, n, cfg: SolverConfig, rng):
     return X, val
 
 
-def _covered_within(edges_inside, members) -> bool:
+def _covered_within(terms_inside, members) -> bool:
+    """True when every pair of distinct members shares a term."""
     covered = set()
-    for e in edges_inside:
-        covered.update(itertools.combinations(e, 2))
+    for t in terms_inside:
+        covered.update(itertools.combinations(t, 2))
     return all(
         p in covered for p in itertools.combinations(sorted(members), 2)
     )
 
 
-def _support_enum(G: Hypergraph, E, cfg: SolverConfig):
+def _support_enum(G: Hypergraph, E, w, sizes):
+    """Exact enumeration of class supports; returns (class masses, supports
+    tried)."""
     guard = _guard_n()
     if G.n > guard:
         raise UnsupportedSizeError(
             f"support enumeration needs n <= {guard}, got n={G.n} "
             "(raise via HLAG_GUARD_N)"
         )
-    n, r = G.n, G.r
-    emasks = [sum(1 << (v - 1) for v in e) for e in G.edge_list()]
-    edge_list = G.edge_list()
-    best_val, best_x, best_support = -1.0, None, None
+    k = len(sizes)
+    terms = [tuple(t) for t in E.tolist()]
+    tmasks = [sum(1 << c for c in set(t)) for t in terms]
+    best_val, best_z, best_support = -1.0, None, None
     tried = 0
-    for smask in range(1, 1 << n):
-        inside = [
-            edge_list[i] for i, em in enumerate(emasks) if em & ~smask == 0
-        ]
+    for smask in range(1, 1 << k):
+        inside = [terms[i] for i, tm in enumerate(tmasks) if tm & ~smask == 0]
         if not inside:
             continue
-        members = [v for v in range(1, n + 1) if smask >> (v - 1) & 1]
-        # an optimum of minimal support covers all its pairs, so supports
-        # with an internally uncovered pair cannot be minimal-optimal
-        if not _covered_within(inside, members):
+        S = [c for c in range(k) if smask >> c & 1]
+        # some optimum is constant on classes, and an optimum of minimal
+        # support covers all its pairs; so two distinct classes meeting it
+        # share an edge, while a pair inside one class may be uncovered
+        if not _covered_within(inside, S):
             continue
-        S = [v - 1 for v in members]
-        x, fnorm = _newton_on_support(E, n, r, S)
+        z, fnorm = _newton_on_support(E, w, k, S)
         tried += 1
-        if x is not None and fnorm > 1e-9:
+        if z is not None and fnorm > 1e-9:
             # retry from a degree-weighted seed (breaks symmetric saddles)
             deg = np.zeros(len(S))
-            for e in inside:
-                for v in e:
-                    deg[members.index(v)] += 1.0
+            for t in inside:
+                for c in t:
+                    deg[S.index(c)] += 1.0
             seed = deg + 1.0
             seed = seed / seed.sum()
-            x2, f2 = _newton_on_support(E, n, r, S, x0=seed)
-            if x2 is not None and f2 < fnorm:
-                x, fnorm = x2, f2
+            z2, f2 = _newton_on_support(E, w, k, S, x0=seed)
+            if z2 is not None and f2 < fnorm:
+                z, fnorm = z2, f2
         if (
-            x is not None
+            z is not None
             and fnorm <= 1e-6
-            and _tangent_ascent_exists(E, n, S, x)
+            and _tangent_ascent_exists(E, w, k, S, z)
         ):
             # Newton converged to a saddle of the restricted problem;
             # re-seed from ascent and keep the better stationary point
-            seed = _eg_restricted(E, n, S)
+            seed = _eg_restricted(E, w, k, S)
             if seed is not None:
-                x3, f3 = _newton_on_support(E, n, r, S, x0=seed)
+                z3, f3 = _newton_on_support(E, w, k, S, x0=seed)
                 if (
-                    x3 is not None
+                    z3 is not None
                     and f3 <= 1e-6
-                    and float(_eval_rows(E, x3[None, :])[0])
-                    > float(_eval_rows(E, x[None, :])[0])
+                    and float(_eval_rows(E, w, z3[None, :])[0])
+                    > float(_eval_rows(E, w, z[None, :])[0])
                 ):
-                    x, fnorm = x3, f3
-        if x is None or fnorm > 1e-6:
+                    z, fnorm = z3, f3
+        if z is None or fnorm > 1e-6:
             continue
-        val = float(_eval_rows(E, x[None, :])[0])
-        sup = tuple(v + 1 for v in range(n) if x[v] > 0.0)
+        val = float(_eval_rows(E, w, z[None, :])[0])
+        sup = tuple(c for c in range(k) if z[c] > 0.0)
         if val > best_val + 1e-12 or (
             abs(val - best_val) <= 1e-12
             and best_support is not None
             and sup < best_support
         ):
-            best_val, best_x, best_support = val, x, sup
-    if best_x is None:
-        return np.full(n, 1.0 / n), 0
-    return best_x, tried
+            best_val, best_z, best_support = val, z, sup
+    if best_z is None:
+        return sizes / sizes.sum(), 0  # the uniform weighting on vertices
+    return best_z, tried
 
 
-def _multistart(G: Hypergraph, E, cfg: SolverConfig):
-    n, r = G.n, G.r
+def _multistart(E, w, sizes, cfg: SolverConfig):
+    """Multistart ascent from the uniform weighting on vertices, with a
+    Newton polish of the best rows; returns (class masses, restarts)."""
+    k = len(sizes)
     rng = np.random.default_rng(cfg.seed)
-    X, val = _eg_ascent(E, n, cfg, rng)
+    X, val = _eg_ascent(E, w, sizes / sizes.sum(), cfg, rng)
     order = np.argsort(-val, kind="stable")
-    best_x = X[order[0]]
+    best_z = X[order[0]]
     best_val = float(val[order[0]])
     seen = set()
     for row in order[: min(10, len(order))]:
-        x = X[row]
-        mx = x.max()
+        z = X[row]
+        mx = z.max()
         if mx <= 0:
             continue
         for thr in (1e-3, 1e-6, 1e-9):
-            S = np.where(x > thr * mx)[0]
+            S = np.where(z > thr * mx)[0]
             key = S.tobytes()
             if key in seen or len(S) == 0:
                 continue
             seen.add(key)
-            x0 = x[S] / x[S].sum()
-            polished, fnorm = _newton_on_support(E, n, r, S, x0=x0)
+            z0 = z[S] / z[S].sum()
+            polished, fnorm = _newton_on_support(E, w, k, S, x0=z0)
             if polished is None or fnorm > 1e-6:
                 continue
-            v = float(_eval_rows(E, polished[None, :])[0])
+            v = float(_eval_rows(E, w, polished[None, :])[0])
             if v > best_val:
-                best_val, best_x = v, polished
-    return best_x, cfg.restarts
-
-
-def _equalize(G: Hypergraph, x: np.ndarray) -> np.ndarray:
-    """Average weights over classes of vertices with mirrored links.
-
-    Swapping two such vertices is an automorphism, so averaging never
-    decreases the value; the caller still re-checks numerically.
-    """
-    parent = list(range(G.n + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(1, G.n + 1):
-        for j in range(i + 1, G.n + 1):
-            if find(i) != find(j) and same_links(G, i, j):
-                parent[find(j)] = find(i)
-    out = x.copy()
-    classes = {}
-    for v in range(1, G.n + 1):
-        classes.setdefault(find(v), []).append(v - 1)
-    for members in classes.values():
-        if len(members) > 1:
-            out[members] = out[members].mean()
-    return out
+                best_val, best_z = v, polished
+    return best_z, cfg.restarts
 
 
 def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult:
-    """Best found Lagrangian value with its weighting and KKT certificate."""
+    """Best found Lagrangian value with its weighting and KKT certificate.
+
+    The solve runs on the classes of vertices with mirrored links, so the
+    weighting is constant on each class.
+    """
     cfg = cfg or SolverConfig()
     method = cfg.method
     if G.n == 0:
@@ -513,21 +528,12 @@ def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
         return LagrangianResult(0.0, x, support, 0.0, method, 0, cfg.seed)
     if method == "auto":
         method = "support-enum" if G.n <= 8 else "multistart-ascent"
-    E = _edge_array(G)
+    E, w, sizes, of = _quotient(G, _classes(G))
     if method == "support-enum":
-        x, used = _support_enum(G, E, cfg)
+        z, used = _support_enum(G, E, w, sizes)
     else:
-        x, used = _multistart(G, E, cfg)
-
-    avg = _equalize(G, x)
-    v_avg = float(_eval_rows(E, avg[None, :])[0])
-    v_cur = float(_eval_rows(E, x[None, :])[0])
-    if v_avg >= v_cur - 1e-10:
-        if v_avg > v_cur + 1e-12:
-            # averaging moved strictly uphill, so the point left its
-            # stationary basin; polish before reporting
-            avg = _polish_on_support(E, G.n, G.r, avg)
-        x = avg
+        z, used = _multistart(E, w, sizes, cfg)
+    x = z[of] / sizes[of]
     x = np.clip(x, 0.0, None)
     x[x < _CLAMP * x.max()] = 0.0
     x = x / x.sum()

@@ -132,6 +132,20 @@ def test_compress_refuses_matching(capsys, tmp_path):
     assert "refused" in err
 
 
+def test_compress_budget_exhaustion_is_an_error(capsys, tmp_path, monkeypatch):
+    # every other edge of star(10, 4) takes six compression steps; a
+    # potential of -1 leaves a budget of one
+    from hlag.core import Hypergraph
+
+    monkeypatch.setattr("hlag.compression.potential", lambda G: -1)
+    G = Hypergraph(4, 10, frozenset(sorted(star(10, 4).edges)[::2]))
+    code, out, err = run(capsys, "compress", "--graph", write_graph(tmp_path, G),
+                         "--t", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: compression exceeded its termination budget\n"
+
+
 def test_search_writes_witnesses(capsys, tmp_path):
     code, out, _ = run(capsys, "search", "--n", "6", "--witness-dir", str(tmp_path))
     assert code == 0

@@ -2,15 +2,28 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hlag.cli import main
-from hlag.core import Hypergraph
+from hlag.core import Hypergraph, blowup, same_links
 from hlag.errors import UnsupportedSizeError
-from hlag.families import complete, k53minus2, matching, star, star_lambda
+from hlag.families import (
+    case_family,
+    complete,
+    k53minus2,
+    matching,
+    split,
+    star,
+    star_lambda,
+)
 from hlag.hgio import emit_hg
 from hlag.solver import (
     SolverConfig,
+    _classes,
+    _eval_rows,
+    _grad_rows,
+    _quotient,
     densify,
     evaluate,
     gradient,
@@ -95,6 +108,83 @@ def test_support_enum_reseeds_past_a_saddle():
     assert exact.support == (1, 2, 3, 4, 5, 6)
     assert exact.kkt_residual <= 1e-8
     assert abs(exact.value - ascent.value) <= 1e-9
+
+
+@pytest.mark.parametrize("method", ["support-enum", "multistart-ascent"])
+def test_blowup_invariance_through_classes(method):
+    # classes {1,2}, {3,4}, {5,6,7}; neither pair inside a part of size 2
+    # is covered, so a support filter that asked for covered pairs inside
+    # a class would admit no support and fall back to the uniform 16/2401
+    G = blowup(complete(5, 4), (2, 2, 1, 1, 1))
+    res = maximize(G, SolverConfig(method=method))
+    assert res.value == pytest.approx(0.008, abs=1e-12)
+    assert res.kkt_residual <= 1e-8
+
+
+def _planted_twin_graphs():
+    """Seeded random 4-graphs blown up by random part sizes, relabeled."""
+    rng = random.Random(7)
+    for _ in range(12):
+        base_n = rng.randint(4, 6)
+        quads = list(itertools.combinations(range(1, base_n + 1), 4))
+        base = Hypergraph(4, base_n, frozenset(
+            rng.sample(quads, rng.randint(1, len(quads)))
+        ))
+        B = blowup(base, [rng.randint(1, 3) for _ in range(base_n)])
+        perm = list(range(1, B.n + 1))
+        rng.shuffle(perm)
+        yield Hypergraph(4, B.n, frozenset(
+            tuple(sorted(perm[v - 1] for v in e)) for e in B.edges
+        ))
+
+
+def test_classes_are_components_of_same_links():
+    for G in _planted_twin_graphs():
+        seen, components = set(), []
+        for v in G.vertices:
+            if v in seen:
+                continue
+            comp, stack = {v}, [v]
+            while stack:
+                a = stack.pop()
+                for b in G.vertices:
+                    if b not in comp and same_links(G, a, b):
+                        comp.add(b)
+                        stack.append(b)
+            seen |= comp
+            components.append(tuple(sorted(comp)))
+        assert _classes(G) == tuple(components)
+
+
+CASE_CLASS_COUNTS = (3, 5, 4, 3, 7, 6, 6, 8, 5, 6, 6, 4, 4, 3)
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_class_counts(n):
+    assert [len(_classes(case_family(k, n))) for k in range(1, 15)] == list(
+        CASE_CLASS_COUNTS
+    )
+    assert len(_classes(star(n, 4))) == 2
+    assert len(_classes(split(n, 4))) == 2
+    assert len(_classes(complete(n, 4))) == 1
+
+
+def test_quotient_matches_vertex_value_and_gradient():
+    rng = np.random.default_rng(5)
+    for G in (case_family(5, 11), split(9, 4), blowup(k53minus2(), (3, 1, 2, 1, 2))):
+        classes = _classes(G)
+        assert any(len(c) > 1 for c in classes)
+        E, w, sizes, of = _quotient(G, classes)
+        for _ in range(5):
+            z = rng.dirichlet(np.ones(len(classes)))
+            x = [float(v) for v in z[of] / sizes[of]]
+            assert float(_eval_rows(E, w, z[None, :])[0]) == pytest.approx(
+                evaluate(G, x), abs=1e-14
+            )
+            gz = _grad_rows(E, w, z[None, :], len(classes))[0]
+            assert [float(gz[c]) for c in of] == pytest.approx(
+                gradient(G, x), abs=1e-14
+            )
 
 
 def test_lambda_matching_support_is_one_edge():
