@@ -4,8 +4,11 @@ Two routes are implemented and kept deliberately independent so they can
 cross-check each other:
 
 * ``multistart-ascent`` — batched exponentiated-gradient ascent from
-  Dirichlet(1) restarts plus the uniform start, followed by a damped Newton
-  polish on the detected support;
+  Dirichlet(1) restarts plus the uniform start, handed to a damped Newton
+  polish on the best rows' supports every ``CHUNK`` steps; it stops at the
+  first polished point that is certified (KKT residual <= 1e-10 on the
+  quotient, off the support too) and that nothing found beats by more
+  than 1e-12, and otherwise runs to the stall rule or ``MAX_ITERATIONS``;
 * ``support-enum`` — exact enumeration of candidate supports (guarded by
   size), solving the stationarity system on each support by damped Newton.
 
@@ -47,6 +50,9 @@ __all__ = [
 
 DEFAULT_GUARD_N = 12
 MAX_ITERATIONS = 500  # exponentiated-gradient steps per multistart ascent
+CHUNK = 25  # ascent steps between Newton polishes of the best rows
+_CERTIFIED = 1e-10  # quotient KKT residual that ends the ascent early
+_TIE = 1e-12  # value margin within which a certified point is preferred
 _CLAMP = 1e-12  # weights below _CLAMP * max(x) are treated as exact zeros
 
 
@@ -57,7 +63,9 @@ class SolverConfig:
     ``method`` is ``auto`` (support enumeration for n <= 8, multistart
     ascent above), ``support-enum`` or ``multistart-ascent``.  The ascent
     runs ``restarts`` Dirichlet starts drawn from ``seed`` plus the uniform
-    one, and stops once no start gains ``tol`` for 20 steps.  Support
+    one.  It stops as soon as a Newton-polished point is certified
+    stationary and no start beats it, else once no start gains ``tol`` for
+    20 steps or after ``MAX_ITERATIONS`` steps.  Support
     enumeration is bounded by the HLAG_GUARD_N environment variable
     (default 12).
     """
@@ -242,10 +250,10 @@ def _grad_rows(E: np.ndarray, w: np.ndarray, X: np.ndarray, n: int) -> np.ndarra
 
 
 def _hessian(E: np.ndarray, w: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    H = np.zeros((n, n))
     if E.size == 0:
-        return H
+        return np.zeros((n, n))
     r = E.shape[1]
+    cells, terms = [], []
     for ia in range(r):
         for ib in range(r):
             if ia == ib:
@@ -254,8 +262,13 @@ def _hessian(E: np.ndarray, w: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
             for t in range(r):
                 if t != ia and t != ib:
                     p = p * x[E[:, t]]
-            np.add.at(H, (E[:, ia], E[:, ib]), p)
-    return H
+            cells.append(E[:, ia] * n + E[:, ib])
+            terms.append(p)
+    # bincount adds in input order, so each cell sums in the loop's order
+    flat = np.bincount(
+        np.concatenate(cells), weights=np.concatenate(terms), minlength=n * n
+    )
+    return flat.reshape(n, n)
 
 
 def _restrict(E, w, n, S):
@@ -372,36 +385,6 @@ def _tangent_ascent_exists(E, w, n, S, x_full):
     return bool(eig[-1] > 1e-12 + 1e-9 * float(np.abs(H).max()))
 
 
-def _eg_ascent(E, w, start, cfg: SolverConfig, rng):
-    """Batched exponentiated-gradient ascent from ``start`` and
-    ``cfg.restarts`` Dirichlet(1) points; returns (X rows, values)."""
-    n = len(start)
-    B = cfg.restarts + 1
-    X = np.vstack([start[None, :], rng.dirichlet(np.ones(n), size=cfg.restarts)])
-    eta = np.full(B, 1.0)
-    val = _eval_rows(E, w, X)
-    stall = 0
-    for _ in range(MAX_ITERATIONS):
-        L = _grad_rows(E, w, X, n)
-        shift = L - L.max(axis=1, keepdims=True)
-        Y = X * np.exp(eta[:, None] * shift)
-        s = Y.sum(axis=1, keepdims=True)
-        Y = np.where(s > 0, Y / np.where(s > 0, s, 1.0), X)
-        vy = _eval_rows(E, w, Y)
-        acc = vy >= val
-        improvement = np.where(acc, vy - val, 0.0).max()
-        X = np.where(acc[:, None], Y, X)
-        val = np.where(acc, vy, val)
-        eta = np.where(acc, np.minimum(eta * 1.3, 1e6), eta * 0.5)
-        if improvement < cfg.tol:
-            stall += 1
-            if stall >= 20:
-                break
-        else:
-            stall = 0
-    return X, val
-
-
 def _covered_within(terms_inside, members) -> bool:
     """True when every pair of distinct members shares a term."""
     covered = set()
@@ -481,35 +464,90 @@ def _support_enum(G: Hypergraph, E, w, sizes):
     return best_z, tried
 
 
+def _quotient_residual(E, w, z) -> float:
+    """The KKT residual of class masses z on the quotient: on the support
+    |L_c - r*lam|, off it the positive part of L_c - r*lam."""
+    g = _grad_rows(E, w, z[None, :], len(z))[0]
+    target = float(z @ g)  # r*lam, by Euler's identity
+    on = z > 0.0
+    return max(
+        float(np.abs(g[on] - target).max(initial=0.0)),
+        float((g[~on] - target).max(initial=0.0)),
+    )
+
+
 def _multistart(E, w, sizes, cfg: SolverConfig):
-    """Multistart ascent from the uniform weighting on vertices, with a
-    Newton polish of the best rows; returns (class masses, restarts)."""
+    """Multistart ascent from the uniform weighting on vertices and
+    ``cfg.restarts`` Dirichlet(1) points, handed to Newton early; returns
+    (class masses, restarts).
+
+    Every ``CHUNK`` exponentiated-gradient steps, the supports of the ten
+    best rows (weights above 1e-3, 1e-6 and 1e-9 of the row's largest) are
+    polished by Newton.  The ascent stops as soon as a polished point is
+    certified (quotient residual <= ``_CERTIFIED``) and nothing found beats
+    it by more than ``_TIE``.  Otherwise it runs until no row gains
+    ``cfg.tol`` for 20 steps or ``MAX_ITERATIONS`` steps have run, and
+    returns the best polished point if it beats every row, else the best
+    row.
+    """
     k = len(sizes)
     rng = np.random.default_rng(cfg.seed)
-    X, val = _eg_ascent(E, w, sizes / sizes.sum(), cfg, rng)
-    order = np.argsort(-val, kind="stable")
-    best_z = X[order[0]]
-    best_val = float(val[order[0]])
-    seen = set()
-    for row in order[: min(10, len(order))]:
-        z = X[row]
-        mx = z.max()
-        if mx <= 0:
-            continue
-        for thr in (1e-3, 1e-6, 1e-9):
-            S = np.where(z > thr * mx)[0]
-            key = S.tobytes()
-            if key in seen or len(S) == 0:
+    start = sizes / sizes.sum()
+    X = np.vstack([start[None, :], rng.dirichlet(np.ones(k), size=cfg.restarts)])
+    eta = np.full(len(X), 1.0)
+    val = _eval_rows(E, w, X)
+    polished_val, polished_z = -math.inf, None
+    certified_val, certified_z = -math.inf, None
+    attempts = {}  # support -> its row's value when it was last polished
+
+    def polish():
+        nonlocal polished_val, polished_z, certified_val, certified_z
+        for row in np.argsort(-val, kind="stable")[:10]:
+            z = X[row]
+            mx = z.max()
+            if mx <= 0:
                 continue
-            seen.add(key)
-            z0 = z[S] / z[S].sum()
-            polished, fnorm = _newton_on_support(E, w, k, S, x0=z0)
-            if polished is None or fnorm > 1e-6:
-                continue
-            v = float(_eval_rows(E, w, polished[None, :])[0])
-            if v > best_val:
-                best_val, best_z = v, polished
-    return best_z, cfg.restarts
+            for thr in (1e-3, 1e-6, 1e-9):
+                S = np.where(z > thr * mx)[0]
+                key = S.tobytes()
+                if len(S) == 0 or val[row] < attempts.get(key, -math.inf) + cfg.tol:
+                    continue
+                attempts[key] = val[row]
+                z0 = z[S] / z[S].sum()
+                p, fnorm = _newton_on_support(E, w, k, S, x0=z0)
+                if p is None or fnorm > 1e-6:
+                    continue
+                v = float(_eval_rows(E, w, p[None, :])[0])
+                if v > polished_val:
+                    polished_val, polished_z = v, p
+                if v > certified_val and _quotient_residual(E, w, p) <= _CERTIFIED:
+                    certified_val, certified_z = v, p
+        return certified_val >= max(float(val.max()), polished_val) - _TIE
+
+    stall = 0
+    for step in range(1, MAX_ITERATIONS + 1):
+        L = _grad_rows(E, w, X, k)
+        shift = L - L.max(axis=1, keepdims=True)
+        Y = X * np.exp(eta[:, None] * shift)
+        s = Y.sum(axis=1, keepdims=True)
+        Y = np.where(s > 0, Y / np.where(s > 0, s, 1.0), X)
+        vy = _eval_rows(E, w, Y)
+        acc = vy >= val
+        improvement = np.where(acc, vy - val, 0.0).max()
+        X = np.where(acc[:, None], Y, X)
+        val = np.where(acc, vy, val)
+        eta = np.where(acc, np.minimum(eta * 1.3, 1e6), eta * 0.5)
+        if step % CHUNK == 0 and polish():
+            return certified_z, cfg.restarts
+        stall = stall + 1 if improvement < cfg.tol else 0
+        if stall >= 20:
+            break
+    if step % CHUNK and polish():
+        return certified_z, cfg.restarts
+    top = int(np.argmax(val))
+    if polished_val > val[top]:
+        return polished_z, cfg.restarts
+    return X[top], cfg.restarts
 
 
 def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult:
