@@ -510,7 +510,7 @@ def _multistart(E, w, sizes, cfg: SolverConfig):
             for thr in (1e-3, 1e-6, 1e-9):
                 S = np.where(z > thr * mx)[0]
                 key = S.tobytes()
-                if len(S) == 0 or val[row] < attempts.get(key, -math.inf) + cfg.tol:
+                if val[row] < attempts.get(key, -math.inf) + cfg.tol:
                     continue
                 attempts[key] = val[row]
                 z0 = z[S] / z[S].sum()
