@@ -272,20 +272,27 @@ def hom_search(G: Hypergraph, F: Hypergraph, p: int):
     return rec([])
 
 
+def _bits(mask):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 class _ColexTable:
-    """The edges of K_n^r in colex order, with what the enumeration and the
-    maximality test both need per edge: its vertex bitmask and its
-    single-replacement predecessors (swap one vertex for the next label
-    down when that label is outside the edge) as a bitmask over edge
-    indices.  Predecessors come earlier in colex order."""
+    """The edges of K_n^r in colex order, with what the family walk needs
+    per edge as bitmasks over edge indices: its single-replacement
+    predecessors (swap one vertex for the next label down when that label
+    is outside the edge), which come earlier in colex order, and the edges
+    disjoint from it."""
 
     def __init__(self, n, r):
-        self.n, self.r = n, r
         self.edges = tuple(sorted(
             itertools.combinations(range(1, n + 1), r), key=lambda e: e[::-1]
         ))
         index = {e: k for k, e in enumerate(self.edges)}
-        self.masks = tuple(sum(1 << (v - 1) for v in e) for e in self.edges)
+        masks = [sum(1 << (v - 1) for v in e) for e in self.edges]
         preds = []
         for e in self.edges:
             se = set(e)
@@ -295,23 +302,89 @@ class _ColexTable:
                     bits |= 1 << index[tuple(sorted(se - {v} | {v - 1}))]
             preds.append(bits)
         self.preds = tuple(preds)
+        self.succs = tuple(
+            tuple(j for j, pj in enumerate(preds) if pj >> k & 1)
+            for k in range(len(preds))
+        )
+        self.disjoint = tuple(
+            sum(1 << j for j, mj in enumerate(masks) if not mj & mk)
+            for mk in masks
+        )
 
-    def addable(self, k, present, chosen_masks, t) -> bool:
-        """Whether edge k may join the family whose edge indices are the
-        bits of ``present`` and whose vertex masks are ``chosen_masks``:
-        all its predecessors are present and it completes no t pairwise
-        disjoint edges."""
-        if self.preds[k] & ~present:
-            return False
-        avail = [mk for mk in chosen_masks if mk & self.masks[k] == 0]
-        size, _ = _max_matching(avail, self.n, self.r, stop_at=t - 1)
-        return size < t - 1
+    def has_matching(self, pool, s) -> bool:
+        """Whether the edges in the bitmask ``pool`` hold s pairwise
+        disjoint edges.  The lowest edge of such a matching is tried first,
+        so each matching is met once."""
+        if s <= 1:
+            return s <= 0 or pool != 0
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            if self.has_matching(pool & self.disjoint[low.bit_length() - 1], s - 1):
+                return True
+        return False
+
+    def edge_set(self, present):
+        """The edges whose indices are the bits of ``present``."""
+        return [self.edges[k] for k in _bits(present)]
 
 
 @functools.lru_cache(maxsize=None)
 def _colex_table(n, r) -> _ColexTable:
     """The read-only table for (n, r), built once per process."""
     return _ColexTable(n, r)
+
+
+def _walk_table(n, r, t, guard) -> _ColexTable:
+    """The colex table for a walk over r-graphs on [n] with no t disjoint
+    edges, after checking n against the guard and t >= 1."""
+    if t < 1:
+        raise ValueError(f"matching size t must be >= 1, got t={t}")
+    guard = ENUM_GUARD_N if guard is None else guard
+    if n > guard:
+        raise UnsupportedSizeError(
+            f"enumeration needs n <= {guard}, got n={n} "
+            "(raise with the guard argument, or --unsafe-size on the CLI)"
+        )
+    return _colex_table(n, r)
+
+
+def _walk(table: _ColexTable, t):
+    """Yield (edge bitmask, maximal) for every left-compressed graph in
+    ``table`` with no t disjoint edges, by a depth-first walk over the
+    edges in colex order.  An edge is ready once all its single-replacement
+    predecessors are taken; a ready edge that completes no t-matching is
+    first left out, then taken.
+
+    The family only grows, so an edge that is never ready or that completes
+    a t-matching can never join it: a missing predecessor comes earlier in
+    colex order and is not taken later, and the matching stays.  Only the
+    edges left out by choice can, and they had all their predecessors, so
+    at a leaf their matching test alone decides maximality.
+    """
+    preds, succs, disjoint = table.preds, table.succs, table.disjoint
+    # (ready edges not yet passed, edges taken, edges left out by choice)
+    stack = [(sum(1 << k for k, p in enumerate(preds) if not p), 0, 0)]
+    while stack:
+        ready, present, skipped = stack.pop()
+        while ready:
+            low = ready & -ready
+            ready ^= low
+            k = low.bit_length() - 1
+            if table.has_matching(present & disjoint[k], t - 1):
+                continue
+            taken = present | low
+            grown = ready
+            for j in succs[k]:
+                if not preds[j] & ~taken:
+                    grown |= 1 << j
+            stack.append((grown, taken, skipped))
+            stack.append((ready, present, skipped | low))
+            break
+        else:
+            yield present, all(
+                table.has_matching(present & disjoint[j], t - 1) for j in _bits(skipped)
+            )
 
 
 def enumerate_left_compressed_free(n, r, t, guard: int | None = None):
@@ -321,43 +394,9 @@ def enumerate_left_compressed_free(n, r, t, guard: int | None = None):
     edges in colex order; an edge may enter only when all its
     single-replacement predecessors are present and no t-matching appears.
     """
-    guard = ENUM_GUARD_N if guard is None else guard
-    if n > guard:
-        raise UnsupportedSizeError(
-            f"enumeration needs n <= {guard}, got n={n} "
-            "(raise via the guard argument)"
-        )
-    table = _colex_table(n, r)
-
-    def rec(start, chosen, present, chosen_masks):
-        for k in range(start, len(table.edges)):
-            if not table.addable(k, present, chosen_masks, t):
-                continue
-            # exclude branch first: the edge stays out for good
-            yield from rec(k + 1, chosen, present, chosen_masks)
-            chosen.append(table.edges[k])
-            chosen_masks.append(table.masks[k])
-            yield from rec(k + 1, chosen, present | 1 << k, chosen_masks)
-            chosen.pop()
-            chosen_masks.pop()
-            return
-        yield frozenset(chosen)
-
-    yield from rec(0, [], 0, [])
-
-
-def _is_maximal(edges: frozenset, n, r, t) -> bool:
-    """No edge outside ``edges`` can join it (see ``_ColexTable.addable``)."""
-    table = _colex_table(n, r)
-    present, chosen_masks = 0, []
-    for k, e in enumerate(table.edges):
-        if e in edges:
-            present |= 1 << k
-            chosen_masks.append(table.masks[k])
-    return not any(
-        not present >> k & 1 and table.addable(k, present, chosen_masks, t)
-        for k in range(len(table.edges))
-    )
+    table = _walk_table(n, r, t, guard)
+    for present, _ in _walk(table, t):
+        yield frozenset(table.edge_set(present))
 
 
 def _is_star_subgraph(edges) -> bool:
@@ -407,15 +446,13 @@ def extremal_lambda_search(
     Only maximal families are evaluated: lambda is monotone under
     subgraphs, so the maximum is attained on a maximal family.
     """
+    table = _walk_table(n, r, t, guard)
     families = 0
     to_eval = []
-    for edges in enumerate_left_compressed_free(n, r, t, guard=guard):
+    for present, maximal in _walk(table, t):
         families += 1
-        if not edges:
-            continue
-        if not _is_maximal(edges, n, r, t):
-            continue
-        to_eval.append(tuple(sorted(edges)))
+        if maximal and present:
+            to_eval.append(tuple(sorted(table.edge_set(present))))
     to_eval.sort()
 
     args = [(edges, n, r, seed) for edges in to_eval]

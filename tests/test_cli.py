@@ -158,7 +158,20 @@ def test_search_writes_witnesses(capsys, tmp_path):
 def test_search_guard_and_unsafe_flag(capsys, tmp_path):
     code, _, err = run(capsys, "search", "--n", "12", "--witness-dir", str(tmp_path))
     assert code == 2
-    assert err
+    assert err.startswith("error:") and "--unsafe-size" in err
+    code, _, err = run(capsys, "verify", "--suite", "theorem", "--n-min", "10",
+                       "--n-max", "10", "--witness-dir", str(tmp_path))
+    assert code == 2
+    assert "--unsafe-size" in err
+
+
+def test_search_rejects_matching_size_zero(capsys, tmp_path):
+    code, out, err = run(capsys, "search", "--n", "7", "--t", "0",
+                         "--witness-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_symmetrize_trace_file(capsys, tmp_path):

@@ -8,7 +8,9 @@ from hlag.core import Hypergraph
 from hlag.errors import UnsupportedSizeError
 from hlag.families import complete, extension, matching, split, star
 from hlag.freeness import (
-    _is_maximal,
+    _max_matching,
+    _walk,
+    _walk_table,
     enumerate_left_compressed_free,
     extremal_lambda_search,
     hom_search,
@@ -159,6 +161,20 @@ def test_enumeration_guard():
         list(enumerate_left_compressed_free(10, 4, 2))
 
 
+def test_search_guard():
+    with pytest.raises(UnsupportedSizeError, match="--unsafe-size"):
+        extremal_lambda_search(10, 4, 2)
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_matching_size_below_one_is_rejected(t):
+    # is_matching_free(G, 0) calls every graph not free, so no family is
+    with pytest.raises(ValueError):
+        list(enumerate_left_compressed_free(7, 4, t))
+    with pytest.raises(ValueError):
+        extremal_lambda_search(7, 4, t)
+
+
 def test_search_n7_max_is_complete():
     res = extremal_lambda_search(7, 4, 2)
     assert res.families == 352
@@ -172,6 +188,17 @@ def test_search_n5():
     res = extremal_lambda_search(5, 4, 2)
     assert res.families == 6
     assert res.max_value == pytest.approx(5 / 625, abs=1e-9)  # K_5^4
+
+
+def test_search_n9_counts():
+    res = extremal_lambda_search(9, 4, 2)
+    assert (res.families, res.evaluated) == (37145, 72)
+
+
+def test_search_n10_past_the_guard():
+    res = extremal_lambda_search(10, 4, 2, guard=10)
+    assert (res.families, res.evaluated) == (299819, 72)
+    assert res.max_nonstar_value == pytest.approx(5 / 343, abs=1e-9)
 
 
 def test_search_jobs_equivalence():
@@ -190,15 +217,23 @@ def test_search_all_families_mode():
     assert res.max_value == pytest.approx(best, abs=1e-9)
 
 
-def _maximal_by_definition(edges, n):
-    # no edge outside keeps F + e left-compressed and 2-matching-free
-    for e in itertools.combinations(range(1, n + 1), 4):
+def _maximal_by_definition(edges, n, r=4, t=2):
+    # no edge outside keeps F + e left-compressed and t-matching-free
+    for e in itertools.combinations(range(1, n + 1), r):
         if e in edges:
             continue
-        G = Hypergraph(4, n, edges | {e})
-        if is_left_compressed(G) and is_matching_free(G, 2).free:
+        G = Hypergraph(r, n, edges | {e})
+        if is_left_compressed(G) and is_matching_free(G, t).free:
             return False
     return True
+
+
+def _walk_families(n, r, t, guard=None):
+    table = _walk_table(n, r, t, guard)
+    return [
+        (frozenset(table.edge_set(present)), maximal)
+        for present, maximal in _walk(table, t)
+    ]
 
 
 # below n = 8 no two 4-sets are disjoint, so only n = 8 tests the matching
@@ -206,11 +241,87 @@ def _maximal_by_definition(edges, n):
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_is_maximal_matches_definition(n):
     maximal = 0
-    for edges in enumerate_left_compressed_free(n, 4, 2):
-        verdict = _is_maximal(edges, n, 4, 2)
+    for edges, verdict in _walk_families(n, 4, 2):
         assert verdict == _maximal_by_definition(edges, n)
         maximal += verdict
     assert maximal == MAXIMAL_COUNTS[n]
+
+
+# the matching test recurses past one level once t >= 3
+@pytest.mark.parametrize("n,r,t", [(6, 2, 3), (7, 3, 2), (7, 3, 3), (8, 2, 4)])
+def test_maximal_flag_matches_definition_for_any_r_and_t(n, r, t):
+    families = _walk_families(n, r, t)
+    assert any(maximal for _, maximal in families)
+    for edges, verdict in families:
+        assert verdict == _maximal_by_definition(edges, n, r, t)
+
+
+class _SeedTable:
+    """Reference: the colex table of the recursive enumerator the walk
+    replaced, with vertex masks and a matching search per edge."""
+
+    def __init__(self, n, r):
+        self.n, self.r = n, r
+        self.edges = tuple(sorted(
+            itertools.combinations(range(1, n + 1), r), key=lambda e: e[::-1]
+        ))
+        index = {e: k for k, e in enumerate(self.edges)}
+        self.masks = tuple(sum(1 << (v - 1) for v in e) for e in self.edges)
+        preds = []
+        for e in self.edges:
+            se = set(e)
+            bits = 0
+            for v in e:
+                if v - 1 >= 1 and v - 1 not in se:
+                    bits |= 1 << index[tuple(sorted(se - {v} | {v - 1}))]
+            preds.append(bits)
+        self.preds = tuple(preds)
+
+    def addable(self, k, present, chosen_masks, t):
+        if self.preds[k] & ~present:
+            return False
+        avail = [mk for mk in chosen_masks if mk & self.masks[k] == 0]
+        size, _ = _max_matching(avail, self.n, self.r, stop_at=t - 1)
+        return size < t - 1
+
+
+def _seed_enumerate(table, t):
+    def rec(start, chosen, present, chosen_masks):
+        for k in range(start, len(table.edges)):
+            if not table.addable(k, present, chosen_masks, t):
+                continue
+            yield from rec(k + 1, chosen, present, chosen_masks)
+            chosen.append(table.edges[k])
+            chosen_masks.append(table.masks[k])
+            yield from rec(k + 1, chosen, present | 1 << k, chosen_masks)
+            chosen.pop()
+            chosen_masks.pop()
+            return
+        yield frozenset(chosen)
+
+    yield from rec(0, [], 0, [])
+
+
+def _seed_is_maximal(table, edges, t):
+    present, chosen_masks = 0, []
+    for k, e in enumerate(table.edges):
+        if e in edges:
+            present |= 1 << k
+            chosen_masks.append(table.masks[k])
+    return not any(
+        not present >> k & 1 and table.addable(k, present, chosen_masks, t)
+        for k in range(len(table.edges))
+    )
+
+
+@pytest.mark.parametrize("n,r,t", [(8, 4, 2), (7, 3, 2), (8, 3, 3), (8, 4, 3), (9, 3, 3)])
+def test_walk_matches_recursive_enumerator(n, r, t):
+    table = _SeedTable(n, r)
+    expected = [
+        (edges, _seed_is_maximal(table, edges, t))
+        for edges in _seed_enumerate(table, t)
+    ]
+    assert _walk_families(n, r, t) == expected
 
 
 def test_search_nonstar_sentinel_at_n4():
