@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Hypergraph, induced, link_diff
+from .core import Hypergraph, induced, is_left_compressed, link_diff
 from .errors import NotFreeError
 from .solver import LagrangianResult, SolverConfig, maximize
 
@@ -34,22 +34,6 @@ def compress_pair(G: Hypergraph, i: int, j: int) -> Hypergraph:
         edges.remove(tuple(sorted(F + (j,))))
         edges.add(tuple(sorted(F + (i,))))
     return Hypergraph(G.r, G.n, frozenset(edges))
-
-
-def is_left_compressed(G: Hypergraph) -> bool:
-    """True iff L(j\\i) is empty for every i < j.
-
-    Checked via the replacement characterization: every edge must stay an
-    edge when any vertex is swapped for any smaller vertex outside it.
-    """
-    for e in G.edges:
-        se = set(e)
-        for v in e:
-            rest = se - {v}
-            for u in range(1, v):
-                if u not in se and tuple(sorted(rest | {u})) not in G.edges:
-                    return False
-    return True
 
 
 def potential(G: Hypergraph) -> int:

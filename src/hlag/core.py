@@ -20,6 +20,7 @@ __all__ = [
     "blowup",
     "equivalent",
     "same_links",
+    "is_left_compressed",
     "degree",
     "min_degree",
 ]
@@ -211,6 +212,22 @@ def same_links(G: Hypergraph, i: int, j: int) -> bool:
         mirror = tuple(sorted((set(e) - {a}) | {b}))
         if mirror not in G.edges:
             return False
+    return True
+
+
+def is_left_compressed(G: Hypergraph) -> bool:
+    """True iff L(j\\i) is empty for every i < j.
+
+    Checked via the replacement characterization: every edge must stay an
+    edge when any vertex is swapped for any smaller vertex outside it.
+    """
+    for e in G.edges:
+        se = set(e)
+        for v in e:
+            rest = se - {v}
+            for u in range(1, v):
+                if u not in se and tuple(sorted(rest | {u})) not in G.edges:
+                    return False
     return True
 
 

@@ -10,7 +10,9 @@ cross-check each other:
   quotient, off the support too) and that nothing found beats by more
   than 1e-12, and otherwise runs to the stall rule or ``MAX_ITERATIONS``;
 * ``support-enum`` — exact enumeration of candidate supports (guarded by
-  size), solving the stationarity system on each support by damped Newton.
+  size), solving the stationarity system on each support by damped Newton;
+  on a left-compressed graph only the prefix supports of classes in label
+  order are tried.
 
 ``auto`` picks support-enum for small graphs and multistart otherwise.
 
@@ -21,6 +23,14 @@ Frankl and Rodl), and some optimum is constant on every class.  With mass
 z_c on class c and x_v = z_c / |c|, the Lagrangian is a weighted sum of
 monomials in z over the edges' sorted class tuples; the solve runs on that
 quotient and the answer is lifted back to vertices.
+
+A left-compressed graph has an optimum that is non-increasing in the label
+(Talbot, CPC 2002): swapping the weights of i < j with x_i < x_j never
+lowers the value when L(j\\i) is empty, and it keeps the support size, so
+a minimal-support optimum, which covers all its pairs, sorts into one on a
+prefix [k].  Its classes are label intervals, so averaging over them keeps
+the weights non-increasing and makes the support a prefix of the classes
+in label order, one that passes the pair filter of support enumeration.
 """
 
 from __future__ import annotations
@@ -32,7 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hypergraph, induced, link, same_links, uncovered_pairs
+from .core import (
+    Hypergraph,
+    induced,
+    is_left_compressed,
+    link,
+    same_links,
+    uncovered_pairs,
+)
 from .errors import UnsupportedSizeError
 
 __all__ = [
@@ -95,6 +112,14 @@ def _guard_n() -> int:
 
 @dataclass(frozen=True)
 class LagrangianResult:
+    """A solve's value, weighting, support and KKT residual.
+
+    ``restarts_used`` is the number of Dirichlet restarts under
+    ``multistart-ascent`` and the number of class supports tried (Newton
+    run on them) under ``support-enum``; the CLI's JSON calls it
+    ``restarts``.
+    """
+
     value: float
     weighting: tuple
     support: tuple
@@ -397,7 +422,13 @@ def _covered_within(terms_inside, members) -> bool:
 
 def _support_enum(G: Hypergraph, E, w, sizes):
     """Exact enumeration of class supports; returns (class masses, supports
-    tried)."""
+    tried).
+
+    A support is tried only when every pair of its classes shares a term
+    and, when G is left-compressed, when it is a prefix of the classes in
+    label order (see the module docstring).  When no support resolves, the
+    class masses of the uniform weighting on vertices come back.
+    """
     guard = _guard_n()
     if G.n > guard:
         raise UnsupportedSizeError(
@@ -409,7 +440,11 @@ def _support_enum(G: Hypergraph, E, w, sizes):
     tmasks = [sum(1 << c for c in set(t)) for t in terms]
     best_val, best_z, best_support = -1.0, None, None
     tried = 0
+    prefix_only = is_left_compressed(G)
     for smask in range(1, 1 << k):
+        # classes come in label order, so a prefix mask is 0b0..01..1
+        if prefix_only and smask & (smask + 1):
+            continue
         inside = [terms[i] for i, tm in enumerate(tmasks) if tm & ~smask == 0]
         if not inside:
             continue
@@ -460,7 +495,7 @@ def _support_enum(G: Hypergraph, E, w, sizes):
         ):
             best_val, best_z, best_support = val, z, sup
     if best_z is None:
-        return sizes / sizes.sum(), 0  # the uniform weighting on vertices
+        return sizes / sizes.sum(), tried
     return best_z, tried
 
 

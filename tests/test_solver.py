@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hlag.cli import main
-from hlag.core import Hypergraph, blowup, same_links
+from hlag.compression import dense_and_compress
+from hlag.core import Hypergraph, blowup, is_left_compressed, same_links
 from hlag.errors import UnsupportedSizeError
 from hlag.families import (
     case_family,
@@ -18,6 +19,7 @@ from hlag.families import (
     star,
     star_lambda,
 )
+from hlag.freeness import _walk, _walk_table
 from hlag.hgio import emit_hg
 from hlag.solver import (
     SolverConfig,
@@ -35,6 +37,7 @@ from hlag.solver import (
     maximize,
     uncovered_reduce,
 )
+from hlag.verify import verify_theorem
 
 # support-enum exact value, frozen from an independent pre-build optimizer
 K53MINUS2_VALUE = 0.06727599372434985
@@ -111,6 +114,130 @@ def test_support_enum_reseeds_past_a_saddle():
     assert exact.support == (1, 2, 3, 4, 5, 6)
     assert exact.kkt_residual <= 1e-8
     assert abs(exact.value - ascent.value) <= 1e-9
+
+
+@pytest.mark.parametrize("G", [k53minus2(), case_family(5, 8)], ids=["lc", "not-lc"])
+def test_support_enum_counts_supports_when_none_resolves(monkeypatch, G):
+    calls = []
+
+    def fail(E, w, n, S, x0=None, iters=60):
+        calls.append(tuple(S))
+        return None, math.inf
+
+    monkeypatch.setattr("hlag.solver._newton_on_support", fail)
+    res = maximize(G, SolverConfig(method="support-enum"))
+    assert calls
+    assert res.restarts_used == len(calls)
+    assert res.weighting == pytest.approx((1.0 / G.n,) * G.n, abs=1e-15)
+
+
+def _maximal_families(n):
+    """The maximal left-compressed 4-graphs on [n] with no 2 disjoint edges."""
+    table = _walk_table(n, 4, 2, None)
+    return [
+        Hypergraph(4, n, frozenset(table.edge_set(present)))
+        for present, maximal in _walk(table, 2)
+        if maximal and present
+    ]
+
+
+def test_prefix_supports_change_no_answer_at_n8(monkeypatch):
+    families = _maximal_families(8)
+    assert len(families) == 72
+    cfg = SolverConfig(method="support-enum")
+    pruned = [maximize(G, cfg) for G in families]
+    monkeypatch.setattr("hlag.solver.is_left_compressed", lambda G: False)
+    full = [maximize(G, cfg) for G in families]
+    for a, b in zip(pruned, full):
+        assert (a.value, a.weighting) == (b.value, b.weighting)
+    assert sum(r.restarts_used for r in pruned) == 197
+    assert sum(r.restarts_used for r in full) == 1102
+
+
+def test_theorem_suite_support_count(monkeypatch):
+    # every family solve for n <= 8 and the star in each row is by support
+    # enumeration; before the prefix rule they tried 1,111 supports
+    seen = []
+
+    def counting(G, cfg=None):
+        res = maximize(G, cfg)
+        if res.method == "support-enum":
+            seen.append(res.restarts_used)
+        return res
+
+    monkeypatch.setattr("hlag.freeness.maximize", counting)
+    monkeypatch.setattr("hlag.verify.maximize", counting)
+    assert verify_theorem(n_min=4, n_max=8).passed
+    assert (len(seen), sum(seen)) == (81, 206)
+
+
+def _relabeled(G, perm):
+    """G with vertex v renamed perm[v - 1]."""
+    return Hypergraph(G.r, G.n, frozenset(
+        tuple(sorted(perm[v - 1] for v in e)) for e in G.edges
+    ))
+
+
+def _reversal_inputs():
+    """K_7^4 on [8] (vertex 8 isolated) and the two maximal families with
+    8 classes at n = 8."""
+    families = _maximal_families(8)
+    eight = [G for G in families if len(_classes(G)) == 8]
+    return [Hypergraph(4, 8, complete(7, 4).edges)] + eight
+
+
+def _dense_and_compress_outputs():
+    rng = random.Random(3)
+    perm = list(range(1, 10))
+    rng.shuffle(perm)
+    kept = rng.sample(sorted(star(9, 4).edges), 50)
+    inputs = (
+        _relabeled(Hypergraph(4, 9, frozenset(kept)), perm),
+        blowup(star(7, 4), [1, 2, 1, 1, 1, 1, 1]),
+        _relabeled(_reversal_inputs()[1], range(8, 0, -1)),
+    )
+    for G in inputs:
+        yield dense_and_compress(G, 2)[0]
+
+
+def test_classes_of_left_compressed_graphs_are_label_intervals():
+    # the prefix rule needs the classes, in the order _classes lists them,
+    # to be consecutive runs of labels: then their concatenation is 1..n
+    graphs = []
+    for n in range(4, 9):
+        table = _walk_table(n, 4, 2, None)
+        graphs += [
+            Hypergraph(4, n, frozenset(table.edge_set(present)))
+            for present, _ in _walk(table, 2)
+        ]
+    assert len(graphs) == 4370
+    graphs += list(_dense_and_compress_outputs())
+    for G in graphs:
+        assert is_left_compressed(G)
+        assert sum(_classes(G), ()) == tuple(G.vertices)
+
+
+def test_reversed_labels_get_full_enumeration(monkeypatch):
+    # each copied under v -> 9 - v: no copy is left-compressed, and on
+    # each the prefix rule would miss the optimum
+    graphs = _reversal_inputs()
+    assert len(graphs) == 3 and graphs[0] in _maximal_families(8)
+    reversed_ = [_relabeled(G, range(8, 0, -1)) for G in graphs]
+    assert all(is_left_compressed(G) for G in graphs)
+    assert not any(is_left_compressed(R) for R in reversed_)
+    cfg = SolverConfig(method="support-enum")
+    lc = [maximize(G, cfg) for G in graphs]
+    rev = [maximize(R, cfg) for R in reversed_]
+    monkeypatch.setattr("hlag.solver.is_left_compressed", lambda G: False)
+    full = [maximize(R, cfg) for R in reversed_]
+    monkeypatch.setattr("hlag.solver.is_left_compressed", lambda G: True)
+    forced = [maximize(R, cfg) for R in reversed_]
+    for a, r, f, p in zip(lc, rev, full, forced):
+        assert r.restarts_used == f.restarts_used >= a.restarts_used
+        assert r.value == f.value
+        assert abs(r.value - a.value) <= 1e-15
+        assert p.value < r.value - 1e-3
+    assert sum(r.restarts_used for r in rev) > sum(a.restarts_used for a in lc)
 
 
 @pytest.mark.parametrize("method", ["support-enum", "multistart-ascent"])
