@@ -47,7 +47,6 @@ from .core import (
     induced,
     is_left_compressed,
     link,
-    same_links,
     uncovered_pairs,
 )
 from .errors import UnsupportedSizeError
@@ -202,8 +201,26 @@ def _classes(G: Hypergraph) -> tuple:
     """Classes of vertices with mirrored links, ordered by smallest vertex.
 
     The union-find over ``same_links`` pairs; each class is a sorted tuple
-    of labels.
+    of labels.  A pair is tested on the edges through its two vertices:
+    i and j are mirrored iff they have equal degree and every edge through
+    i but not j has its mirror (i swapped for j) among the edges through
+    j, since the mirror map is then a bijection between the two sides.
     """
+    through = [set() for _ in range(G.n + 1)]
+    for e in G.edges:
+        for v in e:
+            through[v].add(e)
+
+    def mirrored(i, j):
+        at_i, at_j = through[i], through[j]
+        if len(at_i) != len(at_j):
+            return False
+        return all(
+            tuple(sorted(j if w == i else w for w in e)) in at_j
+            for e in at_i
+            if j not in e
+        )
+
     parent = list(range(G.n + 1))
 
     def find(a):
@@ -214,7 +231,7 @@ def _classes(G: Hypergraph) -> tuple:
 
     for i in range(1, G.n + 1):
         for j in range(i + 1, G.n + 1):
-            if find(i) != find(j) and same_links(G, i, j):
+            if find(i) != find(j) and mirrored(i, j):
                 parent[find(j)] = find(i)
     classes = {}
     for v in range(1, G.n + 1):

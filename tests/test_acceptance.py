@@ -365,7 +365,7 @@ def test_criterion_7_symmetrization_audits():
         trace = symmetrize(G, alpha=alphas[i % 3])
         report = audit(trace)
         if not report.ok:
-            bad.append((i, n, alphas[i % 3], [c.name for c in report.violations]))
+            bad.append((i, n, alphas[i % 3], [c.name for c in report.violations()]))
     elapsed = time.perf_counter() - t0
     assert not bad, f"audit violations: {bad}"
     assert elapsed < 120.0, f"took {elapsed:.1f}s (budget 120s)"

@@ -1,12 +1,20 @@
 import dataclasses
+import importlib
+from collections import defaultdict
 
 import pytest
 
 from hlag.core import Hypergraph, blowup
 from hlag.errors import NotFreeError
-from hlag.families import complete, split, star
+from hlag.families import complete, matching, split, star
+from hlag.freeness import is_core_free
 from hlag.symmetrize import (
+    DENSITY_COEFF,
+    AuditCheck,
+    AuditReport,
     PointedHypergraph,
+    _blow,
+    _rep_base,
     audit,
     clean,
     initial_pointed,
@@ -117,9 +125,144 @@ def test_symmetrize_argument_validation():
     ],
 )
 def test_audit_clean_on_real_traces(G, alpha):
-    rep = audit(symmetrize(G, alpha=alpha))
+    tr = symmetrize(G, alpha=alpha)
+    rep = audit(tr)
     assert all(c.ok for c in rep.checks)
     assert rep.alpha == alpha
+    assert rep == _reference_audit(tr)
+
+
+def _reference_links_by_vertex(state):
+    links = defaultdict(set)
+    for e in state.edges:
+        for v in e:
+            links[v].add(tuple(w for w in e if w != v))
+    return links
+
+
+def _reference_audit(trace):
+    """Reference: the audit before each state object was checked once and
+    transversality and interchangeability were derived from the blowup
+    check; every check scans every state."""
+    checks = []
+    states = trace.states()
+    vf = trace.final.vertices
+
+    ok = all(
+        states[k + 1].vertices <= states[k].vertices
+        and set(states[k + 1].reps) <= set(states[k].reps)
+        for k in range(len(states) - 1)
+    )
+    checks.append(AuditCheck("chains-shrink", ok))
+
+    ok, why = True, ""
+    for k in range(len(states) - 1):
+        nxt = {}
+        for part in states[k + 1].parts:
+            for v in part:
+                nxt[v] = part[0]
+        for part in states[k].parts:
+            live = [v for v in part if v in nxt]
+            if len({nxt[v] for v in live}) > 1:
+                ok, why = False, f"step {k}: part {part} split"
+                break
+        if not ok:
+            break
+    checks.append(AuditCheck("parts-refine", ok, why))
+
+    ok = all(
+        frozenset(v for part in s.parts for v in part) == s.vertices
+        for s in states
+    )
+    checks.append(AuditCheck("parts-partition", ok))
+
+    ok, why = True, ""
+    for k, s in enumerate(states):
+        owner = {}
+        for part in s.parts:
+            for v in part:
+                owner[v] = part[0]
+        for e in s.edges:
+            if len({owner[v] for v in e}) != len(e):
+                ok, why = False, f"state {k}: edge {e} repeats a part"
+                break
+        if not ok:
+            break
+    checks.append(AuditCheck("edges-transversal", ok, why))
+
+    ok, why = True, ""
+    for k, s in enumerate(states):
+        rep_set = set(s.reps)
+        base = [e for e in s.edges if set(e) <= rep_set]
+        if _blow(s.r, base, s.part_by_rep()) != s.edges:
+            ok, why = False, f"state {k} is not the blowup of its base"
+            break
+    checks.append(AuditCheck("blowup-idempotent", ok, why))
+
+    ok, why = True, ""
+    for k, s in enumerate(states):
+        links = _reference_links_by_vertex(s)
+        for part in s.parts:
+            first = links[part[0]]
+            if any(links[v] != first for v in part[1:]):
+                ok, why = False, f"state {k}: part {part} links differ"
+                break
+        if not ok:
+            break
+    checks.append(AuditCheck("parts-interchangeable", ok, why))
+
+    ok, why = True, ""
+    for step in trace.steps:
+        if step.kind != "merge":
+            continue
+        before = states[step.index - 1]
+        after = step.state
+        if after.edge_count() < before.edge_count():
+            ok, why = False, (
+                f"merge {step.index}: {before.edge_count()} -> "
+                f"{after.edge_count()} edges"
+            )
+            break
+    checks.append(AuditCheck("merge-gains-edges", ok, why))
+
+    ok, why = True, ""
+    for step in trace.steps:
+        if step.kind != "merge":
+            continue
+        pre = states[step.index - 1].part_by_rep()
+        pu = pre.get(step.detail["survivor"], ())
+        pv = pre.get(step.detail["absorbed"], ())
+        if not (set(pu) & vf) and (set(pv) & vf):
+            ok, why = False, (
+                f"merge {step.index}: survivor part gone from the final "
+                "state but absorbed part survives"
+            )
+            break
+    checks.append(AuditCheck("absorbed-dies-first", ok, why))
+
+    final = trace.final
+    if final.vertices:
+        n = len(final.vertices)
+        threshold = (DENSITY_COEFF - trace.alpha) * n**3
+        degs = final.degrees()
+        ok = all(degs[v] >= threshold for v in final.vertices)
+    else:
+        ok = True
+    checks.append(AuditCheck("final-min-degree", ok))
+
+    if final.vertices:
+        base_graph, _ = _rep_base(final)
+        report = is_core_free(base_graph, 8, matching(2, 4))
+        checks.append(AuditCheck("final-base-free", report.free))
+    else:
+        checks.append(AuditCheck("final-base-free", True))
+
+    frac = len(final.vertices) / trace.input_n if trace.input_n else 1.0
+    return AuditReport(
+        checks=tuple(checks),
+        final_vertex_fraction=frac,
+        alpha=trace.alpha,
+    )
 
 
 def test_audit_flags_removed_edge():
@@ -133,6 +276,7 @@ def test_audit_flags_removed_edge():
     )
     failed = {c.name for c in audit(bad).checks if not c.ok}
     assert "blowup-idempotent" in failed
+    assert audit(bad) == _reference_audit(bad)
 
 
 def test_audit_flags_intra_part_edge():
@@ -148,6 +292,74 @@ def test_audit_flags_intra_part_edge():
     )
     failed = {c.name for c in audit(bad).checks if not c.ok}
     assert "edges-transversal" in failed
+    assert audit(bad) == _reference_audit(bad)
+
+
+def _unmirrored(state):
+    """``state`` minus one edge through a non-representative part member:
+    that member's link loses an edge its representative's link keeps, and
+    the edge set drops below the blowup of the (unchanged) base."""
+    part = next(p for p in state.parts if len(p) > 1)
+    gone = min(e for e in state.edges if part[1] in e)
+    return dataclasses.replace(state, edges=state.edges - {gone})
+
+
+def test_audit_flags_unmirrored_part_member():
+    tr = symmetrize(split(12, 4), alpha=0.05)
+    cut = _unmirrored(tr.final)
+    bad = dataclasses.replace(
+        tr,
+        final=cut,
+        steps=tr.steps[:-1] + (dataclasses.replace(tr.steps[-1], state=cut),),
+    )
+    rep = audit(bad)
+    failed = {c.name for c in rep.checks if not c.ok}
+    assert failed == {"blowup-idempotent", "parts-interchangeable"}
+    assert rep == _reference_audit(bad)
+
+
+def test_audit_names_original_index_of_a_shared_state():
+    # states 0..5 are init, clean, merge, clean, merge, clean, and each
+    # clean removes nothing: states 2 and 3 are one object, held by a
+    # merge and the clean after it
+    tr = symmetrize(split(12, 4), alpha=0.05)
+    states = tr.states()
+    assert [s.kind for s in tr.steps[1:3]] == ["merge", "clean"]
+    assert states[3] is states[2] and states[1] is states[0]
+    cut = _unmirrored(states[2])
+    bad = dataclasses.replace(tr, steps=tuple(
+        dataclasses.replace(s, state=cut) if s.state is states[2] else s
+        for s in tr.steps
+    ))
+    rep = audit(bad)
+    details = {c.name: c.detail for c in rep.checks if not c.ok}
+    assert details["blowup-idempotent"] == "state 2 is not the blowup of its base"
+    assert details["parts-interchangeable"].startswith("state 2: ")
+    assert rep == _reference_audit(bad)
+
+
+def test_audit_checks_each_state_object_once(monkeypatch):
+    # the skip rests on identity (a clean that removed nothing), so a state
+    # equal to its predecessor but rebuilt as a new object is checked again
+    tr = symmetrize(split(16, 4), alpha=0.05)
+    copy = dataclasses.replace(tr.steps[0], state=dataclasses.replace(tr.initial))
+    tr = dataclasses.replace(tr, steps=(copy,) + tr.steps[1:])
+    states = tr.states()
+    assert states[1] == states[0] and states[1] is not states[0]
+    objects = [k for k in range(len(states)) if k == 0 or states[k] is not states[k - 1]]
+    assert objects == [0, 1, 2, 4, 6]
+    expected = _reference_audit(tr)
+    blown = []
+
+    def counting_blow(r, base, part_of):
+        blown.append(r)
+        return _blow(r, base, part_of)
+
+    # the package re-exports the function symmetrize under the module's name
+    module = importlib.import_module("hlag.symmetrize")
+    monkeypatch.setattr(module, "_blow", counting_blow)
+    assert audit(tr) == expected
+    assert len(blown) == len(objects)
 
 
 def test_audit_vacuous_on_trivial_trace():
