@@ -14,7 +14,9 @@ cross-check each other:
   on a left-compressed graph only the prefix supports of classes in label
   order are tried.
 
-``auto`` picks support-enum for small graphs and multistart otherwise.
+``auto`` picks support-enum for n <= 8, and for left-compressed graphs up
+to the support-enumeration guard, where it tries at most one support per
+class; multistart otherwise.
 
 Both routes solve on the classes of vertices with mirrored links rather
 than on vertices: swapping two such vertices is an automorphism, so
@@ -35,6 +37,7 @@ in label order, one that passes the pair filter of support enumeration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -76,8 +79,9 @@ _CLAMP = 1e-12  # weights below _CLAMP * max(x) are treated as exact zeros
 class SolverConfig:
     """Knobs for :func:`maximize`.
 
-    ``method`` is ``auto`` (support enumeration for n <= 8, multistart
-    ascent above), ``support-enum`` or ``multistart-ascent``.  The ascent
+    ``method`` is ``auto`` (support enumeration for n <= 8 and for
+    left-compressed graphs with n up to the guard, multistart ascent
+    otherwise), ``support-enum`` or ``multistart-ascent``.  The ascent
     runs ``restarts`` Dirichlet starts drawn from ``seed`` plus the uniform
     one.  It stops as soon as a Newton-polished point is certified
     stationary and no start beats it, else once no start gains ``tol`` for
@@ -192,9 +196,10 @@ def kkt_report(G: Hypergraph, x) -> KktReport:
 # ---------------------------------------------------------------------------
 # vectorized internals
 #
-# The kernels take a term array E of 0-based variable indices, one row per
-# term (a row may repeat an index), and a weight w_t per row: the
-# polynomial is sum_t w_t prod_j x[E[t, j]].
+# The kernels are the methods of ``_Terms``, which holds a term array E of
+# 0-based variable indices, one row per term (a row may repeat an index),
+# and a weight w_t per row: the polynomial is sum_t w_t prod_j x[E[t, j]].
+# A term array is the class quotient or its restriction to one support.
 
 
 def _classes(G: Hypergraph) -> tuple:
@@ -265,91 +270,116 @@ def _quotient(G: Hypergraph, classes):
     return E, w, np.asarray(sizes, dtype=float), np.asarray(of, dtype=np.int64)
 
 
-def _eval_rows(E: np.ndarray, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    if E.size == 0:
-        return np.zeros(X.shape[0])
-    return (np.prod(X[:, E], axis=2) * w).sum(axis=1)
+class _Terms:
+    """The polynomial sum_t w_t prod_j x[E[t, j]] in n variables, with the
+    index arrays of its kernels built once.
+
+    A term array does not change within one ascent or one support, so the
+    gradient's bincount index (per batch size) and the Hessian's cell
+    index are built on first use and reused by every later call.  Every
+    product and every bincount runs in a fixed order, so equal inputs give
+    bit-identical outputs.
+    """
+
+    def __init__(self, E: np.ndarray, w: np.ndarray, n: int):
+        self.E, self.w, self.n = E, w, n
+        self._grad_index = {}  # batch size -> bincount index
+
+    @functools.cached_property
+    def _hessian_index(self):
+        """For each ordered pair of columns (ia, ib): its cells
+        E[:, ia] * n + E[:, ib], concatenated pair by pair; the other
+        columns' indices in increasing column order, shape
+        (pairs, r - 2, m); and the weights repeated once per pair."""
+        E, n = self.E, self.n
+        r = E.shape[1]
+        pairs = [(ia, ib) for ia in range(r) for ib in range(r) if ia != ib]
+        cells = [E[:, ia] * n + E[:, ib] for ia, ib in pairs]
+        others = np.array(
+            [[t for t in range(r) if t != ia and t != ib] for ia, ib in pairs],
+            dtype=np.int64,
+        ).reshape(len(pairs), max(r - 2, 0))
+        return (
+            np.concatenate(cells or [np.zeros(0, np.int64)]),
+            E.T[others],
+            np.broadcast_to(self.w, (len(pairs), len(self.w))),
+        )
+
+    def value(self, X: np.ndarray) -> np.ndarray:
+        """The polynomial at each row of X."""
+        return (np.prod(X[:, self.E], axis=2) * self.w).sum(axis=1)
+
+    def grad(self, X: np.ndarray) -> np.ndarray:
+        """The gradient at each row of X."""
+        E, n = self.E, self.n
+        B = X.shape[0]
+        idx = self._grad_index.get(B)
+        if idx is None:
+            idx = (np.arange(B)[:, None, None] * n + E[None, :, :]).ravel()
+            self._grad_index[B] = idx
+        W = X[:, E]  # (B, m, r)
+        r = E.shape[1]
+        pre = np.empty_like(W)
+        suf = np.empty_like(W)
+        pre[:, :, 0] = self.w  # the term weight rides on the prefix products
+        suf[:, :, r - 1] = 1.0
+        for t in range(1, r):
+            pre[:, :, t] = pre[:, :, t - 1] * W[:, :, t - 1]
+        for t in range(r - 2, -1, -1):
+            suf[:, :, t] = suf[:, :, t + 1] * W[:, :, t + 1]
+        loo = pre * suf
+        flat = np.bincount(idx, weights=loo.ravel(), minlength=B * n)
+        return flat.reshape(B, n)
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        """The Hessian at the point x."""
+        cells, others, p = self._hessian_index
+        X = x[others]  # (pairs, r - 2, m)
+        for j in range(others.shape[1]):
+            p = p * X[:, j]
+        # bincount adds in input order, so each cell sums pair by pair
+        flat = np.bincount(cells, weights=p.ravel(), minlength=self.n * self.n)
+        return flat.reshape(self.n, self.n)
 
 
-def _grad_rows(E: np.ndarray, w: np.ndarray, X: np.ndarray, n: int) -> np.ndarray:
-    B = X.shape[0]
-    if E.size == 0:
-        return np.zeros((B, n))
-    W = X[:, E]  # (B, m, r)
-    r = E.shape[1]
-    pre = np.empty_like(W)
-    suf = np.empty_like(W)
-    pre[:, :, 0] = w  # the term weight rides on the prefix products
-    suf[:, :, r - 1] = 1.0
-    for t in range(1, r):
-        pre[:, :, t] = pre[:, :, t - 1] * W[:, :, t - 1]
-    for t in range(r - 2, -1, -1):
-        suf[:, :, t] = suf[:, :, t + 1] * W[:, :, t + 1]
-    loo = pre * suf
-    idx = (np.arange(B)[:, None, None] * n + E[None, :, :]).ravel()
-    flat = np.bincount(idx, weights=loo.ravel(), minlength=B * n)
-    return flat.reshape(B, n)
-
-
-def _hessian(E: np.ndarray, w: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    if E.size == 0:
-        return np.zeros((n, n))
-    r = E.shape[1]
-    cells, terms = [], []
-    for ia in range(r):
-        for ib in range(r):
-            if ia == ib:
-                continue
-            p = w
-            for t in range(r):
-                if t != ia and t != ib:
-                    p = p * x[E[:, t]]
-            cells.append(E[:, ia] * n + E[:, ib])
-            terms.append(p)
-    # bincount adds in input order, so each cell sums in the loop's order
-    flat = np.bincount(
-        np.concatenate(cells), weights=np.concatenate(terms), minlength=n * n
-    )
-    return flat.reshape(n, n)
-
-
-def _restrict(E, w, n, S):
-    """Return S (0-based labels) sorted, and the terms of E inside S
+def _restrict(T: _Terms, S):
+    """Return S (0-based labels) sorted, and the terms of T inside S
     relabeled to 0..len(S)-1 with their weights; the term array is empty
     when S carries no term."""
     S = np.asarray(sorted(S), dtype=np.int64)
-    mask = np.zeros(n, dtype=bool)
+    mask = np.zeros(T.n, dtype=bool)
     mask[S] = True
-    pos = -np.ones(n, dtype=np.int64)
+    pos = -np.ones(T.n, dtype=np.int64)
     pos[S] = np.arange(len(S))
-    inside = mask[E].all(axis=1)
-    return S, pos[E[inside]], w[inside]
+    inside = mask[T.E].all(axis=1)
+    return S, _Terms(pos[T.E[inside]], T.w[inside], len(S))
 
 
-def _newton_on_support(E, w, n, S, x0=None, iters=60):
-    """Damped Newton for the stationarity system on support S (0-based).
+def _newton_on_support(Ts: _Terms, S, n, x0=None, iters=60):
+    """Damped Newton for the stationarity system of Ts, the terms
+    restricted to the sorted support S (0-based labels of n variables).
 
     Returns (full-length weighting, residual of the stationarity system) or
     (None, inf) when the support carries no terms.
     """
-    S, Es, ws = _restrict(E, w, n, S)
-    k = len(S)
-    if Es.size == 0:
+    k = Ts.n
+    if Ts.E.size == 0:
         return None, math.inf
 
     x = np.full(k, 1.0 / k) if x0 is None else np.asarray(x0, dtype=float)
-    g = _grad_rows(Es, ws, x[None, :], k)[0]
+    g = Ts.grad(x[None, :])[0]
     c = float(x @ g)  # r*lam at start
     fnorm = max(np.abs(g - c).max(), abs(x.sum() - 1.0))
+    J = np.zeros((k + 1, k + 1))
+    J[:k, k] = -1.0
+    J[k, :k] = 1.0
+    F = np.empty(k + 1)
     for _ in range(iters):
         if fnorm < 1e-14:
             break
-        H = _hessian(Es, ws, x, k)
-        J = np.zeros((k + 1, k + 1))
-        J[:k, :k] = H
-        J[:k, k] = -1.0
-        J[k, :k] = 1.0
-        F = np.concatenate([g - c, [x.sum() - 1.0]])
+        J[:k, :k] = Ts.hessian(x)
+        F[:k] = g - c
+        F[k] = x.sum() - 1.0
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
@@ -359,7 +389,7 @@ def _newton_on_support(E, w, n, S, x0=None, iters=60):
             xn = x + t * step[:k]
             cn = c + t * step[k]
             if xn.min() >= -1e-10:
-                gn = _grad_rows(Es, ws, xn[None, :], k)[0]
+                gn = Ts.grad(xn[None, :])[0]
                 fn = max(np.abs(gn - cn).max(), abs(xn.sum() - 1.0))
                 if fn < fnorm:
                     x, c, g, fnorm, accepted = xn, cn, gn, fn, True
@@ -377,28 +407,25 @@ def _newton_on_support(E, w, n, S, x0=None, iters=60):
     return out, fnorm
 
 
-def _eg_restricted(E, w, n, S, iters=3000, tol=1e-16):
-    """Single-chain exponentiated-gradient ascent confined to support S.
+def _eg_restricted(Ts: _Terms, iters=3000, tol=1e-16):
+    """Single-chain exponentiated-gradient ascent on the restricted terms Ts.
 
     Deterministic (uniform start, no RNG); used to seed Newton on supports
     where the damped iteration stalls away from the stationary point.
-    Returns the restricted point (length len(S)) or None without terms.
+    Returns the restricted point (length Ts.n).
     """
-    S, Es, ws = _restrict(E, w, n, S)
-    k = len(S)
-    if Es.size == 0:
-        return None
+    k = Ts.n
     x = np.full(k, 1.0 / k)
-    val = float(_eval_rows(Es, ws, x[None, :])[0])
+    val = float(Ts.value(x[None, :])[0])
     eta, stall = 1.0, 0
     for _ in range(iters):
-        g = _grad_rows(Es, ws, x[None, :], k)[0]
+        g = Ts.grad(x[None, :])[0]
         y = x * np.exp(eta * (g - g.max()))
         s = y.sum()
         if s <= 0:
             break
         y = y / s
-        vy = float(_eval_rows(Es, ws, y[None, :])[0])
+        vy = float(Ts.value(y[None, :])[0])
         if vy >= val:
             stall = stall + 1 if vy - val < tol else 0
             x, val, eta = y, vy, min(eta * 1.3, 1e6)
@@ -410,17 +437,17 @@ def _eg_restricted(E, w, n, S, iters=3000, tol=1e-16):
     return x
 
 
-def _tangent_ascent_exists(E, w, n, S, x_full):
-    """True when the simplex-tangent Hessian at x has positive curvature.
+def _tangent_ascent_exists(Ts: _Terms, x) -> bool:
+    """True when the simplex-tangent Hessian of the restricted terms Ts at
+    the restricted point x has positive curvature.
 
     A stationary point of the restricted problem with an ascent direction
     is a saddle, not the support's maximum, and needs re-seeding.
     """
-    S, Es, ws = _restrict(E, w, n, S)
-    k = len(S)
-    if k <= 1 or Es.size == 0:
+    k = Ts.n
+    if k <= 1:
         return False
-    H = _hessian(Es, ws, x_full[S], k)
+    H = Ts.hessian(x)
     P = np.eye(k) - np.full((k, k), 1.0 / k)
     M = P @ H @ P
     eig = np.linalg.eigvalsh((M + M.T) / 2.0)
@@ -437,14 +464,16 @@ def _covered_within(terms_inside, members) -> bool:
     )
 
 
-def _support_enum(G: Hypergraph, E, w, sizes):
+def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
     """Exact enumeration of class supports; returns (class masses, supports
     tried).
 
     A support is tried only when every pair of its classes shares a term
-    and, when G is left-compressed, when it is a prefix of the classes in
-    label order (see the module docstring).  When no support resolves, the
-    class masses of the uniform weighting on vertices come back.
+    and, when ``prefix_only`` (G is left-compressed), when it is a prefix
+    of the classes in label order (see the module docstring), so at most
+    k supports are tried.  Each support's terms are restricted once and
+    shared by every solve on it.  When no support resolves, the class
+    masses of the uniform weighting on vertices come back.
     """
     guard = _guard_n()
     if G.n > guard:
@@ -452,16 +481,16 @@ def _support_enum(G: Hypergraph, E, w, sizes):
             f"support enumeration needs n <= {guard}, got n={G.n} "
             "(raise via HLAG_GUARD_N)"
         )
-    k = len(sizes)
-    terms = [tuple(t) for t in E.tolist()]
+    k = T.n
+    terms = [tuple(t) for t in T.E.tolist()]
     tmasks = [sum(1 << c for c in set(t)) for t in terms]
     best_val, best_z, best_support = -1.0, None, None
     tried = 0
-    prefix_only = is_left_compressed(G)
-    for smask in range(1, 1 << k):
-        # classes come in label order, so a prefix mask is 0b0..01..1
-        if prefix_only and smask & (smask + 1):
-            continue
+    # classes come in label order, so a prefix mask is 0b0..01..1
+    masks = (
+        [(1 << j) - 1 for j in range(1, k + 1)] if prefix_only else range(1, 1 << k)
+    )
+    for smask in masks:
         inside = [terms[i] for i, tm in enumerate(tmasks) if tm & ~smask == 0]
         if not inside:
             continue
@@ -471,39 +500,29 @@ def _support_enum(G: Hypergraph, E, w, sizes):
         # share an edge, while a pair inside one class may be uncovered
         if not _covered_within(inside, S):
             continue
-        z, fnorm = _newton_on_support(E, w, k, S)
+        S, Ts = _restrict(T, S)
+        z, fnorm = _newton_on_support(Ts, S, k)
         tried += 1
         if z is not None and fnorm > 1e-9:
             # retry from a degree-weighted seed (breaks symmetric saddles)
-            deg = np.zeros(len(S))
-            for t in inside:
-                for c in t:
-                    deg[S.index(c)] += 1.0
-            seed = deg + 1.0
+            seed = np.bincount(Ts.E.ravel(), minlength=len(S)) + 1.0
             seed = seed / seed.sum()
-            z2, f2 = _newton_on_support(E, w, k, S, x0=seed)
+            z2, f2 = _newton_on_support(Ts, S, k, x0=seed)
             if z2 is not None and f2 < fnorm:
                 z, fnorm = z2, f2
-        if (
-            z is not None
-            and fnorm <= 1e-6
-            and _tangent_ascent_exists(E, w, k, S, z)
-        ):
+        if z is not None and fnorm <= 1e-6 and _tangent_ascent_exists(Ts, z[S]):
             # Newton converged to a saddle of the restricted problem;
             # re-seed from ascent and keep the better stationary point
-            seed = _eg_restricted(E, w, k, S)
-            if seed is not None:
-                z3, f3 = _newton_on_support(E, w, k, S, x0=seed)
-                if (
-                    z3 is not None
-                    and f3 <= 1e-6
-                    and float(_eval_rows(E, w, z3[None, :])[0])
-                    > float(_eval_rows(E, w, z[None, :])[0])
-                ):
-                    z, fnorm = z3, f3
+            z3, f3 = _newton_on_support(Ts, S, k, x0=_eg_restricted(Ts))
+            if (
+                z3 is not None
+                and f3 <= 1e-6
+                and float(T.value(z3[None, :])[0]) > float(T.value(z[None, :])[0])
+            ):
+                z, fnorm = z3, f3
         if z is None or fnorm > 1e-6:
             continue
-        val = float(_eval_rows(E, w, z[None, :])[0])
+        val = float(T.value(z[None, :])[0])
         sup = tuple(c for c in range(k) if z[c] > 0.0)
         if val > best_val + 1e-12 or (
             abs(val - best_val) <= 1e-12
@@ -516,10 +535,10 @@ def _support_enum(G: Hypergraph, E, w, sizes):
     return best_z, tried
 
 
-def _quotient_residual(E, w, z) -> float:
+def _quotient_residual(T: _Terms, z) -> float:
     """The KKT residual of class masses z on the quotient: on the support
     |L_c - r*lam|, off it the positive part of L_c - r*lam."""
-    g = _grad_rows(E, w, z[None, :], len(z))[0]
+    g = T.grad(z[None, :])[0]
     target = float(z @ g)  # r*lam, by Euler's identity
     on = z > 0.0
     return max(
@@ -528,7 +547,7 @@ def _quotient_residual(E, w, z) -> float:
     )
 
 
-def _multistart(E, w, sizes, cfg: SolverConfig):
+def _multistart(T: _Terms, sizes, cfg: SolverConfig):
     """Multistart ascent from the uniform weighting on vertices and
     ``cfg.restarts`` Dirichlet(1) points, handed to Newton early; returns
     (class masses, restarts).
@@ -542,12 +561,12 @@ def _multistart(E, w, sizes, cfg: SolverConfig):
     returns the best polished point if it beats every row, else the best
     row.
     """
-    k = len(sizes)
+    k = T.n
     rng = np.random.default_rng(cfg.seed)
     start = sizes / sizes.sum()
     X = np.vstack([start[None, :], rng.dirichlet(np.ones(k), size=cfg.restarts)])
     eta = np.full(len(X), 1.0)
-    val = _eval_rows(E, w, X)
+    val = T.value(X)
     polished_val, polished_z = -math.inf, None
     certified_val, certified_z = -math.inf, None
     attempts = {}  # support -> its row's value when it was last polished
@@ -566,24 +585,25 @@ def _multistart(E, w, sizes, cfg: SolverConfig):
                     continue
                 attempts[key] = val[row]
                 z0 = z[S] / z[S].sum()
-                p, fnorm = _newton_on_support(E, w, k, S, x0=z0)
+                S, Ts = _restrict(T, S)
+                p, fnorm = _newton_on_support(Ts, S, k, x0=z0)
                 if p is None or fnorm > 1e-6:
                     continue
-                v = float(_eval_rows(E, w, p[None, :])[0])
+                v = float(T.value(p[None, :])[0])
                 if v > polished_val:
                     polished_val, polished_z = v, p
-                if v > certified_val and _quotient_residual(E, w, p) <= _CERTIFIED:
+                if v > certified_val and _quotient_residual(T, p) <= _CERTIFIED:
                     certified_val, certified_z = v, p
         return certified_val >= max(float(val.max()), polished_val) - _TIE
 
     stall = 0
     for step in range(1, MAX_ITERATIONS + 1):
-        L = _grad_rows(E, w, X, k)
+        L = T.grad(X)
         shift = L - L.max(axis=1, keepdims=True)
         Y = X * np.exp(eta[:, None] * shift)
         s = Y.sum(axis=1, keepdims=True)
         Y = np.where(s > 0, Y / np.where(s > 0, s, 1.0), X)
-        vy = _eval_rows(E, w, Y)
+        vy = T.value(Y)
         acc = vy >= val
         improvement = np.where(acc, vy - val, 0.0).max()
         X = np.where(acc[:, None], Y, X)
@@ -616,13 +636,22 @@ def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
         x = (1.0 / G.n,) * G.n
         support = tuple(range(1, G.n + 1))
         return LagrangianResult(0.0, x, support, 0.0, method, 0, cfg.seed)
+    # a left-compressed graph has an optimum on a prefix of its classes,
+    # so support enumeration tries at most one support per class
+    prefix_only = (
+        method != "multistart-ascent"
+        and G.n <= _guard_n()
+        and is_left_compressed(G)
+    )
     if method == "auto":
-        method = "support-enum" if G.n <= 8 else "multistart-ascent"
+        exact = G.n <= 8 or prefix_only
+        method = "support-enum" if exact else "multistart-ascent"
     E, w, sizes, of = _quotient(G, _classes(G))
+    T = _Terms(E, w, len(sizes))
     if method == "support-enum":
-        z, used = _support_enum(G, E, w, sizes)
+        z, used = _support_enum(G, T, sizes, prefix_only)
     else:
-        z, used = _multistart(E, w, sizes, cfg)
+        z, used = _multistart(T, sizes, cfg)
     x = z[of] / sizes[of]
     x = np.clip(x, 0.0, None)
     x[x < _CLAMP * x.max()] = 0.0

@@ -4,9 +4,11 @@ over the original labels the whole way so the run can be audited."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .core import Hypergraph
 from .errors import NotFreeError
@@ -65,11 +67,17 @@ class PointedHypergraph:
         return {part[0]: part for part in self.parts}
 
     def degrees(self):
+        """Vertex -> degree, read-only; computed once per state, since
+        ``clean`` reads it on the state it returns and ``merge`` again."""
+        return self._degrees
+
+    @functools.cached_property
+    def _degrees(self):
         degs = dict.fromkeys(self.vertices, 0)
         for e in self.edges:
             for v in e:
                 degs[v] += 1
-        return degs
+        return MappingProxyType(degs)
 
     def edge_count(self):
         return len(self.edges)

@@ -283,3 +283,24 @@ def test_seeded_cli_runs_identical(capsys, tmp_path):
     code1, out1, _ = run(capsys, *argv)
     code2, out2, _ = run(capsys, *argv)
     assert (code1, out1) == (code2, out2)
+
+
+THEOREM_ROWS = {
+    9: "9 37145 72 0.014577259475218656 0.014577259475218656 0.27685546875000017 ok",
+    10: "10 299819 72 0.014577259475218656 0.014577259475218656 0.29166666666666674 ok",
+}
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_verify_theorem_rows_are_pinned(capsys, tmp_path, n):
+    # from n = 9 on the 72 maximal families are solved by prefix support
+    # enumeration; the printed row must not move
+    code, out, _ = run(capsys, "verify", "--suite", "theorem", "--n-min", str(n),
+                       "--n-max", str(n), "--unsafe-size",
+                       "--witness-dir", str(tmp_path))
+    assert code == 0
+    assert out == (
+        "n families evaluated max_lambda nonstar_max scaled_star checks\n"
+        f"{THEOREM_ROWS[n]}\ntrend ok\npassed\n"
+    )
+    assert not list(tmp_path.iterdir())

@@ -24,11 +24,9 @@ from hlag.hgio import emit_hg
 from hlag.solver import (
     SolverConfig,
     _classes,
-    _eval_rows,
-    _grad_rows,
-    _hessian,
     _quotient,
     _quotient_residual,
+    _Terms,
     densify,
     evaluate,
     gradient,
@@ -120,7 +118,7 @@ def test_support_enum_reseeds_past_a_saddle():
 def test_support_enum_counts_supports_when_none_resolves(monkeypatch, G):
     calls = []
 
-    def fail(E, w, n, S, x0=None, iters=60):
+    def fail(Ts, S, n, x0=None, iters=60):
         calls.append(tuple(S))
         return None, math.inf
 
@@ -169,6 +167,40 @@ def test_theorem_suite_support_count(monkeypatch):
     monkeypatch.setattr("hlag.verify.maximize", counting)
     assert verify_theorem(n_min=4, n_max=8).passed
     assert (len(seen), sum(seen)) == (81, 206)
+
+
+@pytest.mark.parametrize("G, guard, method", [
+    (star(9, 4), None, "support-enum"),
+    (star(12, 4), None, "support-enum"),
+    (star(13, 4), None, "multistart-ascent"),
+    (star(10, 4), "9", "multistart-ascent"),
+    (Hypergraph(4, 9, frozenset(  # the centre relabeled 9
+        tuple(sorted(10 - v for v in e)) for e in star(9, 4).edges
+    )), None, "multistart-ascent"),
+], ids=["lc-n9", "lc-n12", "lc-n13", "lc-n10-guard9", "not-lc-n9"])
+def test_auto_solves_left_compressed_graphs_by_prefix_enumeration(
+    monkeypatch, G, guard, method
+):
+    if guard is not None:
+        monkeypatch.setenv("HLAG_GUARD_N", guard)
+    res = maximize(G)
+    assert res.method == method
+    assert res.value == pytest.approx(float(star_lambda(G.n)), abs=1e-12)
+    if method == "support-enum":
+        # one prefix per class at most: the centre, then both classes
+        assert is_left_compressed(G) and res.restarts_used <= 2
+
+
+def test_prefix_enumeration_matches_multistart_at_n9():
+    # the one support-enumeration-vs-multistart cross-check on the
+    # families auto now solves exactly
+    families = _maximal_families(9)
+    assert len(families) == 72
+    ascent = SolverConfig(method="multistart-ascent")
+    for G in families:
+        exact = maximize(G)
+        assert exact.method == "support-enum"
+        assert abs(exact.value - maximize(G, ascent).value) <= 1e-12
 
 
 def _relabeled(G, perm):
@@ -305,13 +337,14 @@ def test_quotient_matches_vertex_value_and_gradient():
         classes = _classes(G)
         assert any(len(c) > 1 for c in classes)
         E, w, sizes, of = _quotient(G, classes)
+        T = _Terms(E, w, len(classes))
         for _ in range(5):
             z = rng.dirichlet(np.ones(len(classes)))
             x = [float(v) for v in z[of] / sizes[of]]
-            assert float(_eval_rows(E, w, z[None, :])[0]) == pytest.approx(
+            assert float(T.value(z[None, :])[0]) == pytest.approx(
                 evaluate(G, x), abs=1e-14
             )
-            gz = _grad_rows(E, w, z[None, :], len(classes))[0]
+            gz = T.grad(z[None, :])[0]
             assert [float(gz[c]) for c in of] == pytest.approx(
                 gradient(G, x), abs=1e-14
             )
@@ -471,11 +504,11 @@ def test_quotient_residual_counts_off_support_gradient():
     # K_5^4 at the uniform point of one edge: stationary on that face, but
     # vertex 5 has gradient 4/64 against r*lambda = 1/64
     E = np.asarray(list(itertools.combinations(range(5), 4)))
-    w = np.ones(len(E))
-    assert _quotient_residual(E, w, np.array([0.25] * 4 + [0.0])) == pytest.approx(
+    T = _Terms(E, np.ones(len(E)), 5)
+    assert _quotient_residual(T, np.array([0.25] * 4 + [0.0])) == pytest.approx(
         3 / 64, abs=1e-15
     )
-    assert _quotient_residual(E, w, np.full(5, 0.2)) <= 1e-15
+    assert _quotient_residual(T, np.full(5, 0.2)) <= 1e-15
 
 
 @pytest.mark.parametrize("n", [9, 12, 14])
@@ -531,7 +564,66 @@ def test_hessian_is_bit_identical_to_add_at():
         E = np.sort(rng.integers(0, n, size=(int(rng.integers(1, 60)), r)), axis=1)
         w = rng.random(len(E))
         x = rng.dirichlet(np.ones(n))
-        assert np.array_equal(_hessian(E, w, x, n), _hessian_by_add_at(E, w, x, n))
+        assert np.array_equal(_Terms(E, w, n).hessian(x), _hessian_by_add_at(E, w, x, n))
+
+
+def _eval_rows_reference(E, w, X):
+    """The value kernel as a free function, before the term object."""
+    if E.size == 0:
+        return np.zeros(X.shape[0])
+    return (np.prod(X[:, E], axis=2) * w).sum(axis=1)
+
+
+def _grad_rows_reference(E, w, X, n):
+    """The gradient kernel as a free function, before the term object."""
+    B = X.shape[0]
+    if E.size == 0:
+        return np.zeros((B, n))
+    W = X[:, E]  # (B, m, r)
+    r = E.shape[1]
+    pre = np.empty_like(W)
+    suf = np.empty_like(W)
+    pre[:, :, 0] = w
+    suf[:, :, r - 1] = 1.0
+    for t in range(1, r):
+        pre[:, :, t] = pre[:, :, t - 1] * W[:, :, t - 1]
+    for t in range(r - 2, -1, -1):
+        suf[:, :, t] = suf[:, :, t + 1] * W[:, :, t + 1]
+    loo = pre * suf
+    idx = (np.arange(B)[:, None, None] * n + E[None, :, :]).ravel()
+    flat = np.bincount(idx, weights=loo.ravel(), minlength=B * n)
+    return flat.reshape(B, n)
+
+
+def _term_arrays():
+    """300 seeded term arrays, r = 3 and r = 4, half of them drawn with
+    repeated indices in a row allowed."""
+    rng = np.random.default_rng(13)
+    for i in range(300):
+        r = 3 + i % 2
+        n = int(rng.integers(r, 12))
+        m = int(rng.integers(1, 40))
+        if i // 2 % 2:
+            E = np.sort(rng.integers(0, n, size=(m, r)), axis=1)
+        else:
+            E = np.array([np.sort(rng.choice(n, r, replace=False)) for _ in range(m)])
+        yield E, rng.random(m), n
+
+
+def test_term_kernels_are_bit_identical_to_the_references():
+    rng = np.random.default_rng(17)
+    repeated = 0
+    for E, w, n in _term_arrays():
+        repeated += any(len(set(row)) < len(row) for row in E.tolist())
+        T = _Terms(E, w, n)
+        # batched and single-row, each twice so the cached index is reused
+        for B in (int(rng.integers(2, 66)), 1, 1):
+            X = rng.dirichlet(np.ones(n), size=B)
+            assert np.array_equal(T.value(X), _eval_rows_reference(E, w, X))
+            assert np.array_equal(T.grad(X), _grad_rows_reference(E, w, X, n))
+        for x in rng.dirichlet(np.ones(n), size=2):
+            assert np.array_equal(T.hessian(x), _hessian_by_add_at(E, w, x, n))
+    assert 100 <= repeated <= 150
 
 
 def test_seeded_runs_identical():

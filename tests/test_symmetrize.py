@@ -69,6 +69,21 @@ def test_merge_identity_when_pairs_covered():
     assert M.edge_count() == 15
 
 
+def test_degrees_are_computed_once_per_state():
+    # a clean that removes nothing hands its input to merge, which reads
+    # the same state's degrees again
+    PG = initial_pointed(split(8, 4))
+    cleaned, removed = clean(PG, 0.08)
+    assert cleaned is PG and removed == ()
+    degs = PG.degrees()
+    assert merge(cleaned)[1]["survivor_degree"] == degs[1] == 20
+    assert PG.degrees() is degs
+    with pytest.raises(TypeError):
+        degs[1] = 0
+    # the cache is not a field: a fresh equal state compares equal
+    assert PG == initial_pointed(split(8, 4))
+
+
 def test_symmetrize_trace_shape():
     tr = symmetrize(split(12, 4), alpha=0.05)
     assert tr.alpha == 0.05
