@@ -218,15 +218,17 @@ def same_links(G: Hypergraph, i: int, j: int) -> bool:
 def is_left_compressed(G: Hypergraph) -> bool:
     """True iff L(j\\i) is empty for every i < j.
 
-    Checked via the replacement characterization: every edge must stay an
-    edge when any vertex is swapped for any smaller vertex outside it.
+    Checked via single steps: for every edge and every vertex v in it with
+    v - 1 >= 1 outside the edge, replacing v by v - 1 must give an edge.
+    Single steps generate every replacement of a vertex by a smaller one
+    outside the edge, so this equals the all-pairs replacement test.
     """
-    for e in G.edges:
-        se = set(e)
-        for v in e:
-            rest = se - {v}
-            for u in range(1, v):
-                if u not in se and tuple(sorted(rest | {u})) not in G.edges:
+    edges = G.edges
+    for e in edges:
+        for k, v in enumerate(e):
+            # e is sorted, so v - 1 lies outside e iff it is not e[k - 1].
+            if v > 1 and (k == 0 or e[k - 1] != v - 1):
+                if e[:k] + (v - 1,) + e[k + 1 :] not in edges:
                     return False
     return True
 

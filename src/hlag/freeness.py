@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import multiprocessing
 from dataclasses import dataclass
 
 from .core import Hypergraph
@@ -457,6 +456,8 @@ def extremal_lambda_search(
 
     args = [(edges, n, r, seed) for edges in to_eval]
     if jobs > 1 and len(args) > 1:
+        import multiprocessing  # only a forking call pays for the import
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=jobs) as pool:
             results = pool.map(_eval_family, args, chunksize=4)

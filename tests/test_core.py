@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from hlag.core import (
@@ -7,13 +10,23 @@ from hlag.core import (
     degree,
     equivalent,
     induced,
+    is_left_compressed,
     link,
     link_diff,
     min_degree,
     same_links,
     uncovered_pairs,
 )
-from hlag.families import complete, matching, split, star
+from hlag.families import (
+    case_family,
+    complete,
+    extension,
+    k53minus2,
+    matching,
+    split,
+    star,
+)
+from hlag.freeness import enumerate_left_compressed_free
 
 
 def test_hypergraph_basics():
@@ -119,3 +132,42 @@ def test_same_links_vs_equivalent():
 def test_equivalence_is_symmetric():
     S = split(8, 4)
     assert equivalent(S, 2, 1) == equivalent(S, 1, 2)
+
+
+def _is_left_compressed_all_pairs(G):
+    """Reference: every edge stays an edge when any vertex is swapped for
+    any smaller vertex outside it."""
+    for e in G.edges:
+        se = set(e)
+        for v in e:
+            rest = se - {v}
+            for u in range(1, v):
+                if u not in se and tuple(sorted(rest | {u})) not in G.edges:
+                    return False
+    return True
+
+
+def test_is_left_compressed_single_steps_match_all_pairs():
+    rng = random.Random(12)
+    graphs = []
+    # every walk family for n <= 8, and each with one random edge removed
+    for r in (3, 4):
+        for n in range(r, 9):
+            for F in enumerate_left_compressed_free(n, r, 2):
+                graphs.append(Hypergraph(r, n, F))
+                if F:
+                    graphs.append(Hypergraph(r, n, F - {rng.choice(sorted(F))}))
+    # seeded random graphs of every density
+    for r in (3, 4):
+        for n in range(r, 9):
+            pool = list(itertools.combinations(range(1, n + 1), r))
+            for _ in range(40):
+                p = rng.random()
+                graphs.append(Hypergraph(r, n, {e for e in pool if rng.random() < p}))
+    # named families
+    graphs += [star(8, 4), complete(7, 4), complete(6, 3), k53minus2()]
+    graphs += [split(8, 4), matching(2, 4), extension(complete(5, 3), 7)]
+    graphs += [case_family(k, n) for k in range(1, 16) for n in (8, 10)]
+    answers = [is_left_compressed(G) for G in graphs]
+    assert answers == [_is_left_compressed_all_pairs(G) for G in graphs]
+    assert 0 < sum(answers) < len(answers)

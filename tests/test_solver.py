@@ -1,11 +1,16 @@
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hlag
 from hlag.cli import main
 from hlag.compression import dense_and_compress
 from hlag.core import Hypergraph, blowup, is_left_compressed, same_links
@@ -635,3 +640,35 @@ def test_seeded_runs_identical():
 def test_empty_graph_value_zero():
     res = maximize(Hypergraph(4, 5, frozenset()))
     assert res.value == 0.0
+
+
+_THREADS_AFTER_MAXIMIZE = """
+import os, hlag
+from hlag.families import k53minus2
+hlag.maximize(k53minus2())
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+def _fresh_thread_count(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join(
+        p
+        for p in (str(Path(hlag.__file__).resolve().parent.parent), env.get("PYTHONPATH"))
+        if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_AFTER_MAXIMIZE],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    threads, value = proc.stdout.split()
+    return int(threads), value
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_fresh_process_runs_one_blas_thread():
+    assert _fresh_thread_count(None) == (1, "1")
+    # a value the user set is left alone
+    assert _fresh_thread_count("2")[1] == "2"
