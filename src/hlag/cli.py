@@ -4,6 +4,14 @@ Every subcommand accepts --format after its name; those with randomness
 take --seed, the solving ones --tol, the searching ones --jobs.  Seeded
 runs are byte-identical.  Exit codes: 0 success, 1 witness or
 violation found or an iteration bound reached, 2 usage or input error.
+
+Each subcommand imports only the library modules it runs, so ``free``,
+``symmetrize``, ``partition``, ``family`` and ``--help`` never load numpy.
+The library names stay attributes of this module: ``_LAZY`` maps each to
+its submodule, and a command begins by binding the names it calls
+(``_bind``), loading a module on first use.  A name already bound, say a
+tracer's timing wrapper or a test's patch, is left as it is, and the
+command calls that object.
 """
 
 from __future__ import annotations
@@ -14,15 +22,32 @@ import json
 import os
 import sys
 
-from .compression import dense_and_compress
+from . import _bind, _lazy
 from .errors import HgParseError, NotFreeError, UnsupportedSizeError
-from .families import FamilySpec, matching
-from .freeness import extremal_lambda_search, is_core_free, is_hom_free, is_matching_free
-from .hgio import emit_hg, emit_json, load_graph, parse_weights
-from .partition import min_sigma_partition
-from .solver import SolverConfig, evaluate, maximize
-from .symmetrize import audit, symmetrize
-from .verify import verify_cases, verify_theorem
+
+_LAZY = {
+    "dense_and_compress": "compression",
+    "FamilySpec": "families",
+    "matching": "families",
+    "extremal_lambda_search": "freeness",
+    "is_core_free": "freeness",
+    "is_hom_free": "freeness",
+    "is_matching_free": "freeness",
+    "emit_hg": "hgio",
+    "emit_json": "hgio",
+    "load_graph": "hgio",
+    "parse_weights": "hgio",
+    "min_sigma_partition": "partition",
+    "SolverConfig": "solver",
+    "evaluate": "solver",
+    "maximize": "solver",
+    "audit": "symmetrize",
+    "symmetrize": "symmetrize",
+    "verify_cases": "verify",
+    "verify_theorem": "verify",
+}
+
+__getattr__ = _lazy(globals(), _LAZY)
 
 __all__ = ["main"]
 
@@ -41,6 +66,7 @@ def _emit_json(obj) -> int:
 
 
 def cmd_family(args) -> int:
+    _bind(__name__, "FamilySpec", "emit_hg", "emit_json")
     spec = FamilySpec(name=args.name, n=args.n, r=args.r, t=args.t, p=args.p, a=args.a)
     G = spec.build()
     if args.format == "json":
@@ -51,6 +77,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _bind(__name__, "load_graph", "parse_weights", "evaluate")
     G = load_graph(args.graph)
     if args.weights == "-":
         text = sys.stdin.read()
@@ -70,6 +97,7 @@ def _solver_config(args, **solve) -> SolverConfig:
 
 
 def cmd_maximize(args) -> int:
+    _bind(__name__, "load_graph", "SolverConfig", "maximize")
     G = load_graph(args.graph)
     cfg = _solver_config(args, method=args.method, restarts=args.restarts)
     res = maximize(G, cfg)
@@ -93,6 +121,7 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    _bind(__name__, "load_graph", "SolverConfig", "dense_and_compress", "emit_hg")
     G = load_graph(args.graph)
     final, res, trace = dense_and_compress(G, args.t, _solver_config(args))
     if args.format == "json":
@@ -128,6 +157,10 @@ def cmd_compress(args) -> int:
 
 
 def cmd_free(args) -> int:
+    _bind(
+        __name__, "load_graph", "matching",
+        "is_matching_free", "is_core_free", "is_hom_free",
+    )
     G = load_graph(args.graph)
     t = args.t
     p = args.p if args.p is not None else 2 * G.r
@@ -160,6 +193,7 @@ def cmd_free(args) -> int:
 
 
 def cmd_search(args) -> int:
+    _bind(__name__, "extremal_lambda_search", "emit_hg")
     guard = args.n if args.unsafe_size else None
     sr = extremal_lambda_search(
         args.n, args.r, args.t, jobs=args.jobs, seed=args.seed, guard=guard
@@ -200,6 +234,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_symmetrize(args) -> int:
+    _bind(__name__, "load_graph", "symmetrize", "audit")
     G = load_graph(args.graph)
     trace = symmetrize(G, args.alpha, fixed_n=args.fixed_n)
     report = audit(trace)
@@ -258,6 +293,7 @@ def _jsonable(obj):
 
 
 def cmd_partition(args) -> int:
+    _bind(__name__, "load_graph", "min_sigma_partition")
     G = load_graph(args.graph)
     result = min_sigma_partition(
         G, restarts=args.restarts, seed=args.seed, exhaustive=args.exhaustive
@@ -306,6 +342,7 @@ def _render_rows(rows) -> int:
 
 
 def cmd_verify(args) -> int:
+    _bind(__name__, "verify_cases", "verify_theorem", "emit_hg")
     if args.suite == "cases":
         n_min = args.n_min if args.n_min is not None else 8
         n_max = args.n_max if args.n_max is not None else 14

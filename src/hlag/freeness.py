@@ -7,10 +7,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from . import _bind, _lazy
 from .core import Hypergraph
 from .errors import UnsupportedSizeError
 from .families import extension
-from .solver import SolverConfig, maximize
 
 __all__ = [
     "FreenessReport",
@@ -26,6 +26,9 @@ __all__ = [
 
 ENUM_GUARD_N = 9
 HOM_GUARD_N = 10
+
+# Only the extremal search solves, so numpy loads with its first call.
+__getattr__ = _lazy(globals(), {"SolverConfig": "solver", "maximize": "solver"})
 
 
 @dataclass(frozen=True)
@@ -445,6 +448,8 @@ def extremal_lambda_search(
     Only maximal families are evaluated: lambda is monotone under
     subgraphs, so the maximum is attained on a maximal family.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     table = _walk_table(n, r, t, guard)
     families = 0
     to_eval = []
@@ -455,6 +460,8 @@ def extremal_lambda_search(
     to_eval.sort()
 
     args = [(edges, n, r, seed) for edges in to_eval]
+    # bound before any fork, so each worker calls the same (maybe wrapped) solver
+    _bind(__name__, "SolverConfig", "maximize")
     if jobs > 1 and len(args) > 1:
         import multiprocessing  # only a forking call pays for the import
 

@@ -113,6 +113,8 @@ def min_sigma_partition(
     """
     if G.r != 4:
         raise ValueError(f"partition scoring is defined for 4-graphs, got r={G.r}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     edges = G.edge_list()
     incident = {v: [] for v in range(1, G.n + 1)}
     for idx, e in enumerate(edges):
@@ -121,7 +123,7 @@ def min_sigma_partition(
 
     rng = random.Random(seed)
     best_sigma, best_w1 = None, None
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         w1_set = {v for v in range(1, G.n + 1) if rng.random() < 0.25}
         k_counts = [len(w1_set.intersection(e)) for e in edges]
         _descend(G, w1_set, incident, k_counts)
@@ -138,9 +140,7 @@ def min_sigma_partition(
         best_sigma, best_w1 = _branch_and_bound(G, edges, best_sigma, best_w1)
 
     score = classify_edges(G, best_w1)
-    return MinSigmaResult(
-        score=score, exhaustive=exhaustive, restarts=max(1, restarts)
-    )
+    return MinSigmaResult(score=score, exhaustive=exhaustive, restarts=restarts)
 
 
 def _lb(assigned, k, r):

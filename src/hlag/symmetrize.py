@@ -243,8 +243,8 @@ def symmetrize(
     """
     if G.r != 4:
         raise ValueError(f"symmetrization is defined for 4-graphs, got r={G.r}")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if check_free:
         report = is_core_free(G, 8, matching(2, 4))
         if not report.free:

@@ -284,6 +284,8 @@ def verify_theorem(
     maximum is the complete graph's value.  Also reports the rescaled star
     values, which must increase toward 27/64.
     """
+    if n_min > n_max:
+        raise ValueError("empty n range")
     rows = []
     results = []
     violations = []

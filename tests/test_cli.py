@@ -304,3 +304,27 @@ def test_verify_theorem_rows_are_pinned(capsys, tmp_path, n):
         f"{THEOREM_ROWS[n]}\ntrend ok\npassed\n"
     )
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify --suite theorem --n-min 9 --n-max 4", "empty n range"),
+        ("verify --suite theorem --n-max 5 --jobs 0", "jobs must be >= 1"),
+        ("search --n 6 --jobs -3", "jobs must be >= 1"),
+        ("partition --graph SPLIT --restarts 0", "restarts must be >= 1"),
+        ("partition --graph SPLIT --restarts -2", "restarts must be >= 1"),
+        ("symmetrize --graph SPLIT --alpha 1", "alpha must lie in"),
+        ("symmetrize --graph SPLIT --alpha 2", "alpha must lie in"),
+    ],
+)
+def test_out_of_range_values_exit_2(capsys, tmp_path, argv, message):
+    g = write_graph(tmp_path, split(12, 4))
+    argv = [g if a == "SPLIT" else a for a in argv.split()]
+    if argv[0] in ("verify", "search"):
+        argv += ["--witness-dir", str(tmp_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert [p.name for p in tmp_path.iterdir()] == ["g.hg"]

@@ -329,3 +329,9 @@ def test_search_nonstar_sentinel_at_n4():
     res = extremal_lambda_search(4, 4, 2)
     assert res.witness_is_star_subgraph
     assert res.nonstar_witness is None
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_search_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        extremal_lambda_search(6, 4, 2, jobs=jobs)

@@ -101,3 +101,9 @@ def test_sigma_zero_iff_split_shape():
     res = min_sigma_partition(G, exhaustive=True)
     w1 = set(res.score.w1)
     assert all(len(w1 & set(e)) == 1 for e in G.edges)
+
+
+@pytest.mark.parametrize("restarts", [0, -2])
+def test_restarts_below_one_rejected(restarts):
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        min_sigma_partition(split(8, 4), restarts=restarts)

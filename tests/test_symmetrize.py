@@ -130,6 +130,13 @@ def test_symmetrize_argument_validation():
         symmetrize(split(12, 3) if False else Hypergraph(3, 6, frozenset()), alpha=0.05)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_symmetrize_rejects_alpha_of_one_or_more(alpha):
+    # the target vertex fraction 1 - alpha must be positive
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        symmetrize(split(12, 4), alpha=alpha)
+
+
 @pytest.mark.parametrize(
     "G,alpha",
     [

@@ -101,3 +101,14 @@ def test_verify_theorem_n7_hits_complete():
     assert row.n == 7
     assert row.max_value == pytest.approx(5 / 343, abs=1e-9)
     assert summary.results[-1].witness.edges == complete(7, 4).edges
+
+
+def test_theorem_rejects_an_empty_n_range():
+    with pytest.raises(ValueError, match="empty n range"):
+        verify_theorem(n_max=4, n_min=9)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_theorem_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        verify_theorem(n_max=5, jobs=jobs)
