@@ -344,6 +344,10 @@ def _render_rows(rows) -> int:
 def cmd_verify(args) -> int:
     _bind(__name__, "verify_cases", "verify_theorem", "emit_hg")
     if args.suite == "cases":
+        # the case table runs serially, but a bad --jobs is still an error,
+        # as it is for the theorem suite
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         n_min = args.n_min if args.n_min is not None else 8
         n_max = args.n_max if args.n_max is not None else 14
         rows = verify_cases(range(n_min, n_max + 1), seed=args.seed)

@@ -91,7 +91,9 @@ def dense_and_compress(G: Hypergraph, t: int, cfg: SolverConfig | None = None):
     left-compressed, still free, and its Lagrangian matches the input's.
     Returns (graph, LagrangianResult, CompressionTrace).
     """
-    from .freeness import is_matching_free  # local import to avoid a cycle
+    # looked up per call, so a wrapper patched onto freeness (the tracer's
+    # timing span) is the one that runs; no import cycle needs it
+    from .freeness import is_matching_free
 
     cfg = cfg or SolverConfig()
     report = is_matching_free(G, t)

@@ -363,30 +363,47 @@ def _walk(table: _ColexTable, t):
     colex order and is not taken later, and the matching stays.  Only the
     edges left out by choice can, and they had all their predecessors, so
     at a leaf their matching test alone decides maximality.
+
+    For t = 2 an edge completes a 2-matching iff it is disjoint from a
+    taken edge.  Disjointness is symmetric, so the walk carries the union
+    ``blocked`` of the taken edges' ``disjoint`` masks and tests that bit
+    inline, when branching and at the leaf, instead of calling
+    ``has_matching``.
     """
     preds, succs, disjoint = table.preds, table.succs, table.disjoint
-    # (ready edges not yet passed, edges taken, edges left out by choice)
-    stack = [(sum(1 << k for k, p in enumerate(preds) if not p), 0, 0)]
+    pair = t == 2
+    # (ready edges not yet passed, edges taken, edges left out by choice,
+    # edges disjoint from some taken edge)
+    stack = [(sum(1 << k for k, p in enumerate(preds) if not p), 0, 0, 0)]
     while stack:
-        ready, present, skipped = stack.pop()
+        ready, present, skipped, blocked = stack.pop()
         while ready:
             low = ready & -ready
             ready ^= low
             k = low.bit_length() - 1
-            if table.has_matching(present & disjoint[k], t - 1):
+            if (
+                blocked & low
+                if pair
+                else table.has_matching(present & disjoint[k], t - 1)
+            ):
                 continue
             taken = present | low
             grown = ready
             for j in succs[k]:
                 if not preds[j] & ~taken:
                     grown |= 1 << j
-            stack.append((grown, taken, skipped))
-            stack.append((ready, present, skipped | low))
+            stack.append((grown, taken, skipped, blocked | disjoint[k]))
+            stack.append((ready, present, skipped | low, blocked))
             break
         else:
-            yield present, all(
-                table.has_matching(present & disjoint[j], t - 1) for j in _bits(skipped)
-            )
+            if pair:
+                maximal = not skipped & ~blocked
+            else:
+                maximal = all(
+                    table.has_matching(present & disjoint[j], t - 1)
+                    for j in _bits(skipped)
+                )
+            yield present, maximal
 
 
 def enumerate_left_compressed_free(n, r, t, guard: int | None = None):
@@ -466,7 +483,7 @@ def extremal_lambda_search(
         import multiprocessing  # only a forking call pays for the import
 
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=jobs) as pool:
+        with ctx.Pool(processes=min(jobs, len(args))) as pool:
             results = pool.map(_eval_family, args, chunksize=4)
     else:
         results = [_eval_family(a) for a in args]

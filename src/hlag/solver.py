@@ -73,6 +73,7 @@ CHUNK = 25  # ascent steps between Newton polishes of the best rows
 _CERTIFIED = 1e-10  # quotient KKT residual that ends the ascent early
 _TIE = 1e-12  # value margin within which a certified point is preferred
 _CLAMP = 1e-12  # weights below _CLAMP * max(x) are treated as exact zeros
+_HALVINGS = np.ldexp(1.0, -np.arange(40))  # Newton step lengths 1, 1/2, ..., 2**-39
 
 
 @dataclass(frozen=True)
@@ -270,6 +271,24 @@ def _quotient(G: Hypergraph, classes):
     return E, w, np.asarray(sizes, dtype=float), np.asarray(of, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=None)
+def _column_pairs(r: int):
+    """The ordered pairs (ia, ib) of distinct columns of an r-column term
+    array, ia-major, shape (pairs, 2); and for each pair the other columns
+    in increasing order, shape (pairs, r - 2).  Read-only, built once per r.
+    """
+    pairs = np.array(
+        [(ia, ib) for ia in range(r) for ib in range(r) if ia != ib],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    others = np.array(
+        [[t for t in range(r) if t != ia and t != ib] for ia, ib in pairs.tolist()],
+        dtype=np.int64,
+    ).reshape(len(pairs), max(r - 2, 0))
+    pairs.flags.writeable = others.flags.writeable = False
+    return pairs, others
+
+
 class _Terms:
     """The polynomial sum_t w_t prod_j x[E[t, j]] in n variables, with the
     index arrays of its kernels built once.
@@ -291,17 +310,12 @@ class _Terms:
         E[:, ia] * n + E[:, ib], concatenated pair by pair; the other
         columns' indices in increasing column order, shape
         (pairs, r - 2, m); and the weights repeated once per pair."""
-        E, n = self.E, self.n
-        r = E.shape[1]
-        pairs = [(ia, ib) for ia in range(r) for ib in range(r) if ia != ib]
-        cells = [E[:, ia] * n + E[:, ib] for ia, ib in pairs]
-        others = np.array(
-            [[t for t in range(r) if t != ia and t != ib] for ia, ib in pairs],
-            dtype=np.int64,
-        ).reshape(len(pairs), max(r - 2, 0))
+        pairs, others = _column_pairs(self.E.shape[1])
+        ET = self.E.T
+        ends = ET[pairs]  # (pairs, 2, m)
         return (
-            np.concatenate(cells or [np.zeros(0, np.int64)]),
-            E.T[others],
+            (ends[:, 0] * self.n + ends[:, 1]).ravel(),
+            ET[others],
             np.broadcast_to(self.w, (len(pairs), len(self.w))),
         )
 
@@ -359,6 +373,12 @@ def _newton_on_support(Ts: _Terms, S, n, x0=None, iters=60):
     """Damped Newton for the stationarity system of Ts, the terms
     restricted to the sorted support S (0-based labels of n variables).
 
+    Each iteration solves the bordered system for a step and forms the 40
+    candidates x + 2**-j * step at once; of the rows with every weight
+    >= -1e-10 it accepts, in order, the first that lowers the residual, as
+    halving t from 1 would.  The run stops when no row is accepted, at
+    residual 1e-14 or after ``iters`` iterations.
+
     Returns (full-length weighting, residual of the stationarity system) or
     (None, inf) when the support carries no terms.
     """
@@ -384,17 +404,17 @@ def _newton_on_support(Ts: _Terms, S, n, x0=None, iters=60):
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -F, rcond=None)[0]
-        t, accepted = 1.0, False
-        for _ in range(40):
-            xn = x + t * step[:k]
-            cn = c + t * step[k]
-            if xn.min() >= -1e-10:
-                gn = Ts.grad(xn[None, :])[0]
-                fn = max(np.abs(gn - cn).max(), abs(xn.sum() - 1.0))
-                if fn < fnorm:
-                    x, c, g, fnorm, accepted = xn, cn, gn, fn, True
-                    break
-            t *= 0.5
+        # row j is x + 2**-j * step, bit for bit as t = 1, 1/2, ... forms it
+        X = x + _HALVINGS[:, None] * step[:k]
+        accepted = False
+        for j in np.flatnonzero(X.min(axis=1) >= -1e-10):
+            xn = X[j]
+            cn = c + _HALVINGS[j] * step[k]
+            gn = Ts.grad(xn[None, :])[0]
+            fn = max(np.abs(gn - cn).max(), abs(xn.sum() - 1.0))
+            if fn < fnorm:
+                x, c, g, fnorm, accepted = xn, cn, gn, fn, True
+                break
         if not accepted:
             break
     x = np.clip(x, 0.0, None)
@@ -472,8 +492,17 @@ def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
     and, when ``prefix_only`` (G is left-compressed), when it is a prefix
     of the classes in label order (see the module docstring), so at most
     k supports are tried.  Each support's terms are restricted once and
-    shared by every solve on it.  When no support resolves, the class
-    masses of the uniform weighting on vertices come back.
+    shared by every solve on it.
+
+    Newton runs from the uniform point of the support.  When it ends above
+    1e-9 with every weight still positive, a stall inside the face, it is
+    retried from a degree-weighted seed; a run that ended on the face
+    boundary (a weight clipped to 0) is not.  The retry decides star(n, 4)
+    for n in {6, 7, 10, 11, 12}, whose bordered Jacobian is singular at the
+    uniform start.  A resolved point with a tangent ascent direction is a
+    saddle and is re-seeded from exponentiated-gradient ascent.  When no
+    support resolves, the class masses of the uniform weighting on
+    vertices come back.
     """
     guard = _guard_n()
     if G.n > guard:
@@ -503,8 +532,9 @@ def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
         S, Ts = _restrict(T, S)
         z, fnorm = _newton_on_support(Ts, S, k)
         tried += 1
-        if z is not None and fnorm > 1e-9:
-            # retry from a degree-weighted seed (breaks symmetric saddles)
+        if z is not None and fnorm > 1e-9 and z[S].min() > 0.0:
+            # stalled inside the face: retry from a degree-weighted seed
+            # (breaks symmetric saddles and the star's singular start)
             seed = np.bincount(Ts.E.ravel(), minlength=len(S)) + 1.0
             seed = seed / seed.sum()
             z2, f2 = _newton_on_support(Ts, S, k, x0=seed)

@@ -312,6 +312,8 @@ def test_verify_theorem_rows_are_pinned(capsys, tmp_path, n):
         ("verify --suite theorem --n-min 9 --n-max 4", "empty n range"),
         ("verify --suite theorem --n-max 5 --jobs 0", "jobs must be >= 1"),
         ("search --n 6 --jobs -3", "jobs must be >= 1"),
+        ("verify --suite cases --n-min 8 --n-max 8 --jobs 0", "jobs must be >= 1"),
+        ("verify --suite cases --n-min 8 --n-max 8 --jobs -3", "jobs must be >= 1"),
         ("partition --graph SPLIT --restarts 0", "restarts must be >= 1"),
         ("partition --graph SPLIT --restarts -2", "restarts must be >= 1"),
         ("symmetrize --graph SPLIT --alpha 1", "alpha must lie in"),

@@ -335,3 +335,34 @@ def test_search_nonstar_sentinel_at_n4():
 def test_search_rejects_jobs_below_one(jobs):
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         extremal_lambda_search(6, 4, 2, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs, processes", [(3, 3), (100, 72)])
+def test_search_pool_is_capped_at_the_family_count(monkeypatch, jobs, processes):
+    # a stand-in fork context records the pool size and maps serially, so
+    # no worker process starts
+    import multiprocessing
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, chunksize=1):
+            return [fn(a) for a in args]
+
+    class Context:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
+    res = extremal_lambda_search(8, 4, 2, jobs=jobs)
+    assert requested == [processes]
+    assert res.evaluated == 72
+    assert res == extremal_lambda_search(8, 4, 2)

@@ -29,8 +29,14 @@ from hlag.hgio import emit_hg
 from hlag.solver import (
     SolverConfig,
     _classes,
+    _covered_within,
+    _eg_restricted,
+    _guard_n,
+    _newton_on_support,
     _quotient,
     _quotient_residual,
+    _restrict,
+    _tangent_ascent_exists,
     _Terms,
     densify,
     evaluate,
@@ -85,6 +91,8 @@ def test_lambda_complete_4_3():
 @pytest.mark.parametrize("n", range(4, 15))
 def test_lambda_star_sweep(n):
     res = maximize(star(n, 4))
+    # the star is left-compressed, so up to the guard it is solved exactly
+    assert res.method == ("support-enum" if n <= 12 else "multistart-ascent")
     assert res.value == pytest.approx(float(star_lambda(n)), abs=1e-9)
     # optimum puts 1/4 on the center
     assert res.weighting[0] == pytest.approx(0.25, abs=1e-6)
@@ -172,6 +180,225 @@ def test_theorem_suite_support_count(monkeypatch):
     monkeypatch.setattr("hlag.verify.maximize", counting)
     assert verify_theorem(n_min=4, n_max=8).passed
     assert (len(seen), sum(seen)) == (81, 206)
+
+
+def _newton_halving_reference(Ts, S, n, x0=None, iters=60):
+    """``_newton_on_support`` with its first line search: the step lengths
+    t = 1, 1/2, ... tried one at a time, up to 40 of them."""
+    k = Ts.n
+    if Ts.E.size == 0:
+        return None, math.inf
+    x = np.full(k, 1.0 / k) if x0 is None else np.asarray(x0, dtype=float)
+    g = Ts.grad(x[None, :])[0]
+    c = float(x @ g)
+    fnorm = max(np.abs(g - c).max(), abs(x.sum() - 1.0))
+    J = np.zeros((k + 1, k + 1))
+    J[:k, k] = -1.0
+    J[k, :k] = 1.0
+    F = np.empty(k + 1)
+    for _ in range(iters):
+        if fnorm < 1e-14:
+            break
+        J[:k, :k] = Ts.hessian(x)
+        F[:k] = g - c
+        F[k] = x.sum() - 1.0
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        t, accepted = 1.0, False
+        for _ in range(40):
+            xn = x + t * step[:k]
+            cn = c + t * step[k]
+            if xn.min() >= -1e-10:
+                gn = Ts.grad(xn[None, :])[0]
+                fn = max(np.abs(gn - cn).max(), abs(xn.sum() - 1.0))
+                if fn < fnorm:
+                    x, c, g, fnorm, accepted = xn, cn, gn, fn, True
+                    break
+            t *= 0.5
+        if not accepted:
+            break
+    x = np.clip(x, 0.0, None)
+    total = x.sum()
+    if total <= 0:
+        return None, math.inf
+    x = x / total
+    out = np.zeros(n)
+    out[S] = x
+    return out, fnorm
+
+
+def _checked_newton(monkeypatch):
+    """Make every Newton run also run the halving reference and assert
+    bit-equal (weighting, fnorm); returns the growing list of the checked
+    runs' supports."""
+    checked = []
+
+    def both(Ts, S, n, x0=None, iters=60):
+        z, fnorm = _newton_on_support(Ts, S, n, x0, iters)
+        zr, fr = _newton_halving_reference(Ts, S, n, x0, iters)
+        assert (z is None) == (zr is None)
+        assert z is None or z.tobytes() == zr.tobytes()
+        assert float(fnorm).hex() == float(fr).hex()
+        checked.append(tuple(S))
+        return z, fnorm
+
+    monkeypatch.setattr("hlag.solver._newton_on_support", both)
+    return checked
+
+
+def _star_stall():
+    """The two-class quotient 0.08 z0 z1^3 of star(6, 4), restricted to
+    both classes."""
+    G = star(6, 4)
+    E, w, sizes, _ = _quotient(G, _classes(G))
+    assert E.tolist() == [[0, 1, 1, 1]] and w.tolist() == [0.08]
+    return _restrict(_Terms(E, w, len(sizes)), [0, 1])
+
+
+@pytest.mark.parametrize("n, prefix, runs", [
+    (8, True, 205), (8, False, 1130), (9, True, 203), (9, False, 1153),
+])
+def test_one_pass_line_search_matches_the_halving_loop(monkeypatch, n, prefix, runs):
+    # every Newton run, seeded ones too, of the 72 maximal families' solves
+    checked = _checked_newton(monkeypatch)
+    if not prefix:
+        monkeypatch.setattr("hlag.solver.is_left_compressed", lambda G: False)
+    cfg = SolverConfig(method="support-enum")
+    for G in _maximal_families(n):
+        maximize(G, cfg)
+    assert len(checked) == runs
+
+
+def test_one_pass_line_search_matches_on_the_star_stall(monkeypatch):
+    # the case where no step length is feasible, from uniform and from
+    # the degree seed
+    checked = _checked_newton(monkeypatch)
+    S, Ts = _star_stall()
+    hlag.solver._newton_on_support(Ts, S, 2)
+    hlag.solver._newton_on_support(Ts, S, 2, x0=np.array([2.0, 4.0]) / 6.0)
+    maximize(star(6, 4), SolverConfig(method="support-enum"))
+    assert len(checked) == 4
+
+
+def test_degree_retry_decides_the_star():
+    # at the uniform start (1/2, 1/2) of 0.08 z0 z1^3 the tangent curvature
+    # is 0, so the bordered Jacobian is singular: the solved step is about
+    # 1.5e15, no step length is feasible and Newton stalls where it began,
+    # inside the face.  The degree-seeded retry then finds (1/4, 3/4);
+    # without it the star's value falls to the uniform weighting's
+    S, Ts = _star_stall()
+    z, fnorm = _newton_on_support(Ts, S, 2)
+    assert z.tolist() == [0.5, 0.5]
+    assert fnorm == pytest.approx(0.01, rel=1e-12)
+    res = maximize(star(6, 4), SolverConfig(method="support-enum"))
+    assert res.value == pytest.approx(float(star_lambda(6)), abs=1e-15)
+    assert res.value - evaluate(star(6, 4), [1 / 6] * 6) > 7e-4
+
+
+def _support_enum_always_retry(G, T, sizes, prefix_only):
+    """``_support_enum`` as it was before the retry gate: the degree-seeded
+    retry runs after every first run ending above 1e-9, on the face
+    boundary too."""
+    guard = _guard_n()
+    if G.n > guard:
+        raise UnsupportedSizeError(f"support enumeration needs n <= {guard}")
+    k = T.n
+    terms = [tuple(t) for t in T.E.tolist()]
+    tmasks = [sum(1 << c for c in set(t)) for t in terms]
+    best_val, best_z, best_support = -1.0, None, None
+    tried = 0
+    masks = (
+        [(1 << j) - 1 for j in range(1, k + 1)] if prefix_only else range(1, 1 << k)
+    )
+    for smask in masks:
+        inside = [terms[i] for i, tm in enumerate(tmasks) if tm & ~smask == 0]
+        if not inside:
+            continue
+        S = [c for c in range(k) if smask >> c & 1]
+        if not _covered_within(inside, S):
+            continue
+        S, Ts = _restrict(T, S)
+        z, fnorm = _newton_on_support(Ts, S, k)
+        tried += 1
+        if z is not None and fnorm > 1e-9:
+            seed = np.bincount(Ts.E.ravel(), minlength=len(S)) + 1.0
+            seed = seed / seed.sum()
+            z2, f2 = _newton_on_support(Ts, S, k, x0=seed)
+            if z2 is not None and f2 < fnorm:
+                z, fnorm = z2, f2
+        if z is not None and fnorm <= 1e-6 and _tangent_ascent_exists(Ts, z[S]):
+            z3, f3 = _newton_on_support(Ts, S, k, x0=_eg_restricted(Ts))
+            if (
+                z3 is not None
+                and f3 <= 1e-6
+                and float(T.value(z3[None, :])[0]) > float(T.value(z[None, :])[0])
+            ):
+                z, fnorm = z3, f3
+        if z is None or fnorm > 1e-6:
+            continue
+        val = float(T.value(z[None, :])[0])
+        sup = tuple(c for c in range(k) if z[c] > 0.0)
+        if val > best_val + 1e-12 or (
+            abs(val - best_val) <= 1e-12
+            and best_support is not None
+            and sup < best_support
+        ):
+            best_val, best_z, best_support = val, z, sup
+    if best_z is None:
+        return sizes / sizes.sum(), tried
+    return best_z, tried
+
+
+def _retry_gate_inputs():
+    """The 148 maximal families for n = 4..9, star(n, 4) for n = 4..12,
+    the case families 1..14 at n = 8..12, and 200 seeded random 4-graphs
+    on 5..8 vertices."""
+    graphs = [G for n in range(4, 10) for G in _maximal_families(n)]
+    assert len(graphs) == 148
+    graphs += [star(n, 4) for n in range(4, 13)]
+    graphs += [case_family(k, n) for k in range(1, 15) for n in range(8, 13)]
+    rng = random.Random("retry-gate")
+    for _ in range(200):
+        n = rng.randint(5, 8)
+        quads = list(itertools.combinations(range(1, n + 1), 4))
+        graphs.append(Hypergraph(4, n, frozenset(
+            rng.sample(quads, rng.randint(1, len(quads)))
+        )))
+    return graphs
+
+
+def test_retry_after_interior_stalls_only_changes_no_result(monkeypatch):
+    # auto makes the very same support-enum call on every graph with
+    # n <= 8, so it is solved separately only on the larger ones, where
+    # it may route to multistart instead
+    graphs = _retry_gate_inputs()
+    solves = [(G, SolverConfig(method="support-enum")) for G in graphs]
+    solves += [(G, SolverConfig()) for G in graphs if G.n > 8]
+    gated = [maximize(G, cfg) for G, cfg in solves]
+    monkeypatch.setattr("hlag.solver._support_enum", _support_enum_always_retry)
+    always = [maximize(G, cfg) for G, cfg in solves]
+    assert len(solves) == 559
+    assert sum(r.method == "support-enum" for r in gated) == 555
+    for (G, _), a, b in zip(solves, gated, always):
+        assert a == b, G
+
+
+def test_newton_run_counts_of_the_n8_family_solves(monkeypatch):
+    # the degree-seeded retry runs only after a stall inside the face:
+    # 8 seeded runs (retries and ascent re-seeds), 24 when it also ran
+    # after a stall on the face boundary
+    runs = {"uniform": 0, "seeded": 0}
+
+    def counting(Ts, S, n, x0=None, iters=60):
+        runs["uniform" if x0 is None else "seeded"] += 1
+        return _newton_on_support(Ts, S, n, x0, iters)
+
+    monkeypatch.setattr("hlag.solver._newton_on_support", counting)
+    for G in _maximal_families(8):
+        maximize(G)
+    assert runs == {"uniform": 197, "seeded": 8}
 
 
 @pytest.mark.parametrize("G, guard, method", [
