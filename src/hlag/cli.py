@@ -252,8 +252,8 @@ def cmd_symmetrize(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(records, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    final_graph, _ = trace.final_graph()
     if args.format == "json":
+        final_graph, _ = trace.final_graph()
         _emit_json(
             {
                 "steps": len(trace.steps),

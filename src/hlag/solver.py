@@ -12,7 +12,8 @@ cross-check each other:
 * ``support-enum`` — exact enumeration of candidate supports (guarded by
   size), solving the stationarity system on each support by damped Newton;
   on a left-compressed graph only the prefix supports of classes in label
-  order are tried.
+  order are tried, and no support is tried on fewer vertices than a
+  complete graph would need to reach the best value found.
 
 ``auto`` picks support-enum for n <= 8, and for left-compressed graphs up
 to the support-enumeration guard, where it tries at most one support per
@@ -120,8 +121,8 @@ class LagrangianResult:
 
     ``restarts_used`` is the number of Dirichlet restarts under
     ``multistart-ascent`` and the number of class supports tried (Newton
-    run on them) under ``support-enum``; the CLI's JSON calls it
-    ``restarts``.
+    run on them) under ``support-enum``, which leaves out the supports the
+    complete-graph bound skips; the CLI's JSON calls it ``restarts``.
     """
 
     value: float
@@ -294,15 +295,15 @@ class _Terms:
     index arrays of its kernels built once.
 
     A term array does not change within one ascent or one support, so the
-    gradient's bincount index (per batch size) and the Hessian's cell
-    index are built on first use and reused by every later call.  Every
-    product and every bincount runs in a fixed order, so equal inputs give
-    bit-identical outputs.
+    gradient's bincount index and work buffers (per batch size) and the
+    Hessian's cell index are built on first use and reused by every later
+    call.  Every product and every bincount runs in a fixed order, so equal
+    inputs give bit-identical outputs.
     """
 
     def __init__(self, E: np.ndarray, w: np.ndarray, n: int):
         self.E, self.w, self.n = E, w, n
-        self._grad_index = {}  # batch size -> bincount index
+        self._grad_work = {}  # batch size -> bincount index and buffers
 
     @functools.cached_property
     def _hessian_index(self):
@@ -324,24 +325,35 @@ class _Terms:
         return (np.prod(X[:, self.E], axis=2) * self.w).sum(axis=1)
 
     def grad(self, X: np.ndarray) -> np.ndarray:
-        """The gradient at each row of X."""
+        """The gradient at each row of X.
+
+        Term t adds w_t times the product of its other columns' weights to
+        each column's variable, formed as (prefix product) * (suffix
+        product) in the same order on every call.
+        """
         E, n = self.E, self.n
         B = X.shape[0]
-        idx = self._grad_index.get(B)
-        if idx is None:
+        m, r = E.shape
+        work = self._grad_work.get(B)
+        if work is None:
             idx = (np.arange(B)[:, None, None] * n + E[None, :, :]).ravel()
-            self._grad_index[B] = idx
-        W = X[:, E]  # (B, m, r)
-        r = E.shape[1]
-        pre = np.empty_like(W)
-        suf = np.empty_like(W)
-        pre[:, :, 0] = self.w  # the term weight rides on the prefix products
-        suf[:, :, r - 1] = 1.0
+            pre = np.empty((B, r, m))  # prefix products
+            pre[:, 0] = self.w  # the term weight rides on the prefix products
+            W = np.empty((B, r, m))  # X at each column of E
+            suf = np.empty((B, m))  # the running suffix product
+            loo = np.empty((B, m, r))  # leave-one-out, in idx's order
+            work = self._grad_work[B] = (idx, W, pre, suf, loo)
+        idx, W, pre, suf, loo = work
+        np.take(X, E.T, axis=1, out=W, mode="clip")  # unbuffered; E is in range
         for t in range(1, r):
-            pre[:, :, t] = pre[:, :, t - 1] * W[:, :, t - 1]
+            np.multiply(pre[:, t - 1], W[:, t - 1], out=pre[:, t])
+        loo[:, :, r - 1] = pre[:, r - 1]
+        if r > 1:
+            suf[:] = W[:, r - 1]
         for t in range(r - 2, -1, -1):
-            suf[:, :, t] = suf[:, :, t + 1] * W[:, :, t + 1]
-        loo = pre * suf
+            np.multiply(pre[:, t], suf, out=loo[:, :, t])
+            if t:
+                suf *= W[:, t]
         flat = np.bincount(idx, weights=loo.ravel(), minlength=B * n)
         return flat.reshape(B, n)
 
@@ -484,6 +496,16 @@ def _covered_within(terms_inside, members) -> bool:
     )
 
 
+def _lambda_complete(s: int, r: int) -> float:
+    """lambda(K_s^r) = C(s, r) / s^r, non-decreasing in s.
+
+    K_s^r is one class, so the uniform weighting is optimal on it (Frankl
+    and Rodl); every r-graph on s vertices is a subgraph, so no weighting
+    on s vertices reaches more.
+    """
+    return math.comb(s, r) / s**r
+
+
 def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
     """Exact enumeration of class supports; returns (class masses, supports
     tried).
@@ -503,6 +525,14 @@ def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
     saddle and is re-seeded from exponentiated-gradient ascent.  When no
     support resolves, the class masses of the uniform weighting on
     vertices come back.
+
+    Supports are visited by vertex count s (the sizes of their classes
+    summed), largest first.  No weighting on s vertices beats
+    lambda(K_s^r) (``_lambda_complete``), which grows with s; so once that
+    bound falls more than 1e-9 below the best resolved value, no later
+    support can win or tie, and the walk stops.  The supports
+    solved are then compared in mask order: a larger value by more than
+    1e-12 wins, and a tie goes to the smaller support.
     """
     guard = _guard_n()
     if G.n > guard:
@@ -513,13 +543,19 @@ def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
     k = T.n
     terms = [tuple(t) for t in T.E.tolist()]
     tmasks = [sum(1 << c for c in set(t)) for t in terms]
-    best_val, best_z, best_support = -1.0, None, None
-    tried = 0
     # classes come in label order, so a prefix mask is 0b0..01..1
     masks = (
         [(1 << j) - 1 for j in range(1, k + 1)] if prefix_only else range(1, 1 << k)
     )
-    for smask in masks:
+    csize = [int(v) for v in sizes]
+    vertices = {m: sum(csize[c] for c in range(k) if m >> c & 1) for m in masks}
+    solved = []  # (mask, value, class masses, support)
+    top = -math.inf  # the best resolved value so far
+    tried = 0
+    for smask in sorted(masks, key=lambda m: -vertices[m]):
+        s = vertices[smask]
+        if _lambda_complete(s, G.r) < top - 1e-9:
+            break  # s only falls from here, and the bound with it
         inside = [terms[i] for i, tm in enumerate(tmasks) if tm & ~smask == 0]
         if not inside:
             continue
@@ -553,7 +589,10 @@ def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
         if z is None or fnorm > 1e-6:
             continue
         val = float(T.value(z[None, :])[0])
-        sup = tuple(c for c in range(k) if z[c] > 0.0)
+        top = max(top, val)
+        solved.append((smask, val, z, tuple(c for c in range(k) if z[c] > 0.0)))
+    best_val, best_z, best_support = -1.0, None, None
+    for _, val, z, sup in sorted(solved, key=lambda row: row[0]):
         if val > best_val + 1e-12 or (
             abs(val - best_val) <= 1e-12
             and best_support is not None

@@ -286,8 +286,8 @@ def test_seeded_cli_runs_identical(capsys, tmp_path):
 
 
 THEOREM_ROWS = {
-    9: "9 37145 72 0.014577259475218656 0.014577259475218656 0.27685546875000017 ok",
-    10: "10 299819 72 0.014577259475218656 0.014577259475218656 0.29166666666666674 ok",
+    9: "9 37145 72 0.014577259475218656 0.014577259475218656 0.27685546875 ok",
+    10: "10 299819 72 0.014577259475218656 0.014577259475218656 0.29166666666666663 ok",
 }
 
 

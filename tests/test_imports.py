@@ -87,6 +87,21 @@ def test_maximize_loads_only_the_solver(tmp_path):
     assert not modules & {f"hlag.{m}" for m in unused}
 
 
+_RANDOM_AFTER_VERIFY = """
+import sys
+from hlag.verify import verify_cases, verify_theorem
+verify_theorem(n_min=4, n_max=6)
+verify_cases(range(8, 9))
+print("numpy" in sys.modules, "numpy.random" in sys.modules)
+"""
+
+
+def test_verify_suites_at_small_n_load_no_numpy_random():
+    # every claim there is solved by support enumeration, which draws no
+    # random starts; numpy.random alone adds about 6 MB of RSS
+    assert _fresh(_RANDOM_AFTER_VERIFY).split() == ["True", "False"]
+
+
 # every name a tracer patches to time a layer, per module
 BOUND_NAMES = {
     hlag.cli: (

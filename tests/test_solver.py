@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -32,6 +33,7 @@ from hlag.solver import (
     _covered_within,
     _eg_restricted,
     _guard_n,
+    _lambda_complete,
     _newton_on_support,
     _quotient,
     _quotient_residual,
@@ -46,7 +48,7 @@ from hlag.solver import (
     maximize,
     uncovered_reduce,
 )
-from hlag.verify import verify_theorem
+from hlag.verify import RESTARTS, verify_theorem
 
 # support-enum exact value, frozen from an independent pre-build optimizer
 K53MINUS2_VALUE = 0.06727599372434985
@@ -161,13 +163,14 @@ def test_prefix_supports_change_no_answer_at_n8(monkeypatch):
     full = [maximize(G, cfg) for G in families]
     for a, b in zip(pruned, full):
         assert (a.value, a.weighting) == (b.value, b.weighting)
-    assert sum(r.restarts_used for r in pruned) == 197
-    assert sum(r.restarts_used for r in full) == 1102
+    assert sum(r.restarts_used for r in pruned) == 112
+    assert sum(r.restarts_used for r in full) == 242
 
 
 def test_theorem_suite_support_count(monkeypatch):
     # every family solve for n <= 8 and the star in each row is by support
-    # enumeration; before the prefix rule they tried 1,111 supports
+    # enumeration; before the prefix rule they tried 1,111 supports, and
+    # 206 before the complete-graph bound
     seen = []
 
     def counting(G, cfg=None):
@@ -179,7 +182,7 @@ def test_theorem_suite_support_count(monkeypatch):
     monkeypatch.setattr("hlag.freeness.maximize", counting)
     monkeypatch.setattr("hlag.verify.maximize", counting)
     assert verify_theorem(n_min=4, n_max=8).passed
-    assert (len(seen), sum(seen)) == (81, 206)
+    assert (len(seen), sum(seen)) == (81, 121)
 
 
 def _newton_halving_reference(Ts, S, n, x0=None, iters=60):
@@ -257,15 +260,27 @@ def _star_stall():
     return _restrict(_Terms(E, w, len(sizes)), [0, 1])
 
 
+# Newton runs of the 72 maximal families' solves once the complete-graph
+# bound prunes supports; the parametrized ``runs`` are those of the
+# reference that solves every support
+PRUNED_NEWTON_RUNS = {(8, True): 118, (8, False): 258, (9, True): 116, (9, False): 378}
+
+
 @pytest.mark.parametrize("n, prefix, runs", [
     (8, True, 205), (8, False, 1130), (9, True, 203), (9, False, 1153),
 ])
 def test_one_pass_line_search_matches_the_halving_loop(monkeypatch, n, prefix, runs):
-    # every Newton run, seeded ones too, of the 72 maximal families' solves
+    # every Newton run, seeded ones too, of the 72 maximal families' solves,
+    # by the pruned routine and by the reference that solves every support
     checked = _checked_newton(monkeypatch)
     if not prefix:
         monkeypatch.setattr("hlag.solver.is_left_compressed", lambda G: False)
     cfg = SolverConfig(method="support-enum")
+    for G in _maximal_families(n):
+        maximize(G, cfg)
+    assert len(checked) == PRUNED_NEWTON_RUNS[n, prefix]
+    checked.clear()
+    monkeypatch.setattr("hlag.solver._support_enum", _support_enum_reference)
     for G in _maximal_families(n):
         maximize(G, cfg)
     assert len(checked) == runs
@@ -297,10 +312,13 @@ def test_degree_retry_decides_the_star():
     assert res.value - evaluate(star(6, 4), [1 / 6] * 6) > 7e-4
 
 
-def _support_enum_always_retry(G, T, sizes, prefix_only):
-    """``_support_enum`` as it was before the retry gate: the degree-seeded
-    retry runs after every first run ending above 1e-9, on the face
-    boundary too."""
+def _support_enum_reference(G, T, sizes, prefix_only, retry_on_boundary=False):
+    """``_support_enum`` before the complete-graph bound: every candidate
+    support is solved, in mask order.  With ``retry_on_boundary`` it is
+    the routine from before the retry gate, where the degree-seeded retry
+    ran after every first run ending above 1e-9, on the face boundary too.
+    Newton is looked up on ``hlag.solver`` per call, so a patched
+    ``_newton_on_support`` sees the reference's runs too."""
     guard = _guard_n()
     if G.n > guard:
         raise UnsupportedSizeError(f"support enumeration needs n <= {guard}")
@@ -320,16 +338,16 @@ def _support_enum_always_retry(G, T, sizes, prefix_only):
         if not _covered_within(inside, S):
             continue
         S, Ts = _restrict(T, S)
-        z, fnorm = _newton_on_support(Ts, S, k)
+        z, fnorm = hlag.solver._newton_on_support(Ts, S, k)
         tried += 1
-        if z is not None and fnorm > 1e-9:
+        if z is not None and fnorm > 1e-9 and (retry_on_boundary or z[S].min() > 0.0):
             seed = np.bincount(Ts.E.ravel(), minlength=len(S)) + 1.0
             seed = seed / seed.sum()
-            z2, f2 = _newton_on_support(Ts, S, k, x0=seed)
+            z2, f2 = hlag.solver._newton_on_support(Ts, S, k, x0=seed)
             if z2 is not None and f2 < fnorm:
                 z, fnorm = z2, f2
         if z is not None and fnorm <= 1e-6 and _tangent_ascent_exists(Ts, z[S]):
-            z3, f3 = _newton_on_support(Ts, S, k, x0=_eg_restricted(Ts))
+            z3, f3 = hlag.solver._newton_on_support(Ts, S, k, x0=_eg_restricted(Ts))
             if (
                 z3 is not None
                 and f3 <= 1e-6
@@ -351,16 +369,16 @@ def _support_enum_always_retry(G, T, sizes, prefix_only):
     return best_z, tried
 
 
-def _retry_gate_inputs():
+def _solver_corpus(label, randoms):
     """The 148 maximal families for n = 4..9, star(n, 4) for n = 4..12,
-    the case families 1..14 at n = 8..12, and 200 seeded random 4-graphs
-    on 5..8 vertices."""
+    the case families 1..14 at n = 8..12, and ``randoms`` random 4-graphs
+    on 5..8 vertices seeded by ``label``."""
     graphs = [G for n in range(4, 10) for G in _maximal_families(n)]
     assert len(graphs) == 148
     graphs += [star(n, 4) for n in range(4, 13)]
     graphs += [case_family(k, n) for k in range(1, 15) for n in range(8, 13)]
-    rng = random.Random("retry-gate")
-    for _ in range(200):
+    rng = random.Random(label)
+    for _ in range(randoms):
         n = rng.randint(5, 8)
         quads = list(itertools.combinations(range(1, n + 1), 4))
         graphs.append(Hypergraph(4, n, frozenset(
@@ -369,26 +387,78 @@ def _retry_gate_inputs():
     return graphs
 
 
+def _without_supports_tried(res):
+    """Every field of a result except ``restarts_used``, the supports tried."""
+    return dataclasses.replace(res, restarts_used=0)
+
+
 def test_retry_after_interior_stalls_only_changes_no_result(monkeypatch):
     # auto makes the very same support-enum call on every graph with
     # n <= 8, so it is solved separately only on the larger ones, where
-    # it may route to multistart instead
-    graphs = _retry_gate_inputs()
+    # it may route to multistart instead; the reference solves every
+    # support, so only the supports tried differ
+    graphs = _solver_corpus("retry-gate", 200)
     solves = [(G, SolverConfig(method="support-enum")) for G in graphs]
     solves += [(G, SolverConfig()) for G in graphs if G.n > 8]
     gated = [maximize(G, cfg) for G, cfg in solves]
-    monkeypatch.setattr("hlag.solver._support_enum", _support_enum_always_retry)
+    monkeypatch.setattr(
+        "hlag.solver._support_enum",
+        functools.partial(_support_enum_reference, retry_on_boundary=True),
+    )
     always = [maximize(G, cfg) for G, cfg in solves]
     assert len(solves) == 559
     assert sum(r.method == "support-enum" for r in gated) == 555
     for (G, _), a, b in zip(solves, gated, always):
-        assert a == b, G
+        assert _without_supports_tried(a) == _without_supports_tried(b), G
+    assert sum(r.restarts_used for r in gated if r.method == "support-enum") == 1870
+
+
+def test_complete_graph_bound_prunes_no_winning_support(monkeypatch):
+    # a support on s vertices is skipped once lambda(K_s^4) is more than
+    # 1e-9 below a value reached; against the routine that solves every
+    # support, only the supports tried may change, and never upwards
+    graphs = _solver_corpus("prune", 300)
+    assert len(graphs) == 527
+    cfg = SolverConfig(method="support-enum")
+    pruned = [maximize(G, cfg) for G in graphs]
+    monkeypatch.setattr("hlag.solver._support_enum", _support_enum_reference)
+    full = [maximize(G, cfg) for G in graphs]
+    for G, a, b in zip(graphs, pruned, full):
+        assert _without_supports_tried(a) == _without_supports_tried(b), G
+        assert a.restarts_used <= b.restarts_used, G
+    assert sum(r.restarts_used for r in pruned) < sum(r.restarts_used for r in full)
+
+
+@pytest.mark.parametrize("s", range(4, 13))
+def test_complete_graph_value_is_the_prune_bound(s):
+    value = maximize(complete(s, 4)).value
+    assert value == pytest.approx(math.comb(s, 4) / s**4, abs=1e-15)
+    assert value == pytest.approx(_lambda_complete(s, 4), abs=1e-15)
+
+
+def test_multistart_never_beats_the_verify_solve():
+    # the cross-check verify ran on every claim with n <= 8 before it made
+    # one solve per claim: on the claims auto solves exactly, 16-restart
+    # multistart finds nothing better
+    graphs = [case_family(k, n) for k in range(1, 15) for n in range(8, 13)]
+    graphs += [star(n, 4) for n in range(4, 11)]
+    ascent = SolverConfig(method="multistart-ascent", restarts=RESTARTS)
+    exact = 0
+    for G in graphs:
+        res = maximize(G, SolverConfig(restarts=RESTARTS))
+        if res.method == "multistart-ascent":
+            continue  # the very same call
+        exact += 1
+        assert maximize(G, ascent).value <= res.value + 1e-12, G
+    # every claim but case 5 at n = 9..12 is left-compressed or has n <= 8
+    assert exact == 77 - 4
 
 
 def test_newton_run_counts_of_the_n8_family_solves(monkeypatch):
     # the degree-seeded retry runs only after a stall inside the face:
-    # 8 seeded runs (retries and ascent re-seeds), 24 when it also ran
-    # after a stall on the face boundary
+    # 6 seeded runs (retries and ascent re-seeds); 8 before the
+    # complete-graph bound, when 197 supports were solved, and 24 when the
+    # retry also ran after a stall on the face boundary
     runs = {"uniform": 0, "seeded": 0}
 
     def counting(Ts, S, n, x0=None, iters=60):
@@ -398,7 +468,7 @@ def test_newton_run_counts_of_the_n8_family_solves(monkeypatch):
     monkeypatch.setattr("hlag.solver._newton_on_support", counting)
     for G in _maximal_families(8):
         maximize(G)
-    assert runs == {"uniform": 197, "seeded": 8}
+    assert runs == {"uniform": 112, "seeded": 6}
 
 
 @pytest.mark.parametrize("G, guard, method", [
