@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Every subcommand accepts --format after its name; those with randomness
-take --seed, the solving ones --tol, the searching ones --jobs.  Seeded
-runs are byte-identical.  Exit codes: 0 success, 1 witness or
-violation found or an iteration bound reached, 2 usage or input error.
+take --seed, the searching ones --jobs.  Seeded runs are byte-identical.
+Exit codes: 0 success, 1 witness or violation found or an iteration bound
+reached, 2 usage or input error.
 
 Each subcommand imports only the library modules it runs, so ``free``,
 ``symmetrize``, ``partition``, ``family`` and ``--help`` never load numpy.
@@ -92,14 +92,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _solver_config(args, **solve) -> SolverConfig:
-    return SolverConfig(tol=args.tol, seed=args.seed, **solve)
-
-
 def cmd_maximize(args) -> int:
     _bind(__name__, "load_graph", "SolverConfig", "maximize")
     G = load_graph(args.graph)
-    cfg = _solver_config(args, method=args.method, restarts=args.restarts)
+    cfg = SolverConfig(method=args.method, restarts=args.restarts, seed=args.seed)
     res = maximize(G, cfg)
     if args.format == "json":
         return _emit_json(
@@ -123,7 +119,7 @@ def cmd_maximize(args) -> int:
 def cmd_compress(args) -> int:
     _bind(__name__, "load_graph", "SolverConfig", "dense_and_compress", "emit_hg")
     G = load_graph(args.graph)
-    final, res, trace = dense_and_compress(G, args.t, _solver_config(args))
+    final, res, trace = dense_and_compress(G, args.t, SolverConfig(seed=args.seed))
     if args.format == "json":
         return _emit_json(
             {
@@ -243,7 +239,7 @@ def cmd_symmetrize(args) -> int:
             {
                 "index": s.index,
                 "kind": s.kind,
-                "detail": _jsonable(s.detail),
+                "detail": s.detail,
                 "vertex_count": len(s.state.vertices),
                 "edge_count": s.state.edge_count(),
             }
@@ -282,14 +278,6 @@ def cmd_symmetrize(args) -> int:
     for c in report.violations():
         print(f"violation {c.name} {c.detail}")
     return 1
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def cmd_partition(args) -> int:
@@ -424,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=1e-12)
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=int, default=1)
 
@@ -450,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("maximize", parents=[fmt, seed, tol], help="maximize the Lagrangian")
+    p = sub.add_parser("maximize", parents=[fmt, seed], help="maximize the Lagrangian")
     p.add_argument("--graph", required=True)
     p.add_argument(
         "--method",
@@ -460,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=64)
     p.set_defaults(func=cmd_maximize)
 
-    p = sub.add_parser("compress", parents=[fmt, seed, tol], help="densify and left-compress")
+    p = sub.add_parser("compress", parents=[fmt, seed], help="densify and left-compress")
     p.add_argument("--graph", required=True)
     p.add_argument("--t", type=int, required=True)
     p.set_defaults(func=cmd_compress)

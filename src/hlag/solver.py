@@ -9,15 +9,15 @@ cross-check each other:
   first polished point that is certified (KKT residual <= 1e-10 on the
   quotient, off the support too) and that nothing found beats by more
   than 1e-12, and otherwise runs to the stall rule or ``MAX_ITERATIONS``;
-* ``support-enum`` — exact enumeration of candidate supports (guarded by
-  size), solving the stationarity system on each support by damped Newton;
-  on a left-compressed graph only the prefix supports of classes in label
-  order are tried, and no support is tried on fewer vertices than a
-  complete graph would need to reach the best value found.
+* ``support-enum`` — exact enumeration of candidate supports, solving the
+  stationarity system on each support by damped Newton; on a
+  left-compressed graph only the prefix supports of classes in label
+  order are tried, at most one per class, and otherwise every subset of
+  at most ``ENUM_CLASSES`` classes; no support is tried on fewer vertices
+  than a complete graph would need to reach the best value found.
 
-``auto`` picks support-enum for n <= 8, and for left-compressed graphs up
-to the support-enumeration guard, where it tries at most one support per
-class; multistart otherwise.
+``auto`` picks support-enum for n <= 8 and for left-compressed graphs of
+any size; multistart otherwise.
 
 Both routes solve on the classes of vertices with mirrored links rather
 than on vertices: swapping two such vertices is an automorphism, so
@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +67,9 @@ __all__ = [
     "uncovered_reduce",
 ]
 
-DEFAULT_GUARD_N = 12
+ENUM_CLASSES = 12  # most classes for the full 2**k support walk
 MAX_ITERATIONS = 500  # exponentiated-gradient steps per multistart ascent
+STALL_TOL = 1e-12  # a row gain below this is a stall step of the ascent
 CHUNK = 25  # ascent steps between Newton polishes of the best rows
 _CERTIFIED = 1e-10  # quotient KKT residual that ends the ascent early
 _TIE = 1e-12  # value margin within which a certified point is preferred
@@ -82,37 +82,24 @@ class SolverConfig:
     """Knobs for :func:`maximize`.
 
     ``method`` is ``auto`` (support enumeration for n <= 8 and for
-    left-compressed graphs with n up to the guard, multistart ascent
-    otherwise), ``support-enum`` or ``multistart-ascent``.  The ascent
-    runs ``restarts`` Dirichlet starts drawn from ``seed`` plus the uniform
-    one.  It stops as soon as a Newton-polished point is certified
-    stationary and no start beats it, else once no start gains ``tol`` for
-    20 steps or after ``MAX_ITERATIONS`` steps.  Support
-    enumeration is bounded by the HLAG_GUARD_N environment variable
-    (default 12).
+    left-compressed graphs, multistart ascent otherwise), ``support-enum``
+    or ``multistart-ascent``.  The ascent runs ``restarts`` Dirichlet
+    starts drawn from ``seed`` plus the uniform one.  It stops as soon as
+    a Newton-polished point is certified stationary and no start beats it,
+    else once no start gains ``STALL_TOL`` for 20 steps or after
+    ``MAX_ITERATIONS`` steps.  Support enumeration on a graph that is not
+    left-compressed needs at most ``ENUM_CLASSES`` classes.
     """
 
     method: str = "auto"
     restarts: int = 64
-    tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
         if self.method not in ("auto", "multistart-ascent", "support-enum"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.restarts < 1 or self.tol <= 0:
-            raise ValueError("restarts must be >= 1 and tol positive")
-
-
-def _guard_n() -> int:
-    """The support-enumeration size bound: HLAG_GUARD_N, or 12 when unset."""
-    env = os.environ.get("HLAG_GUARD_N")
-    if not env:
-        return DEFAULT_GUARD_N
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"HLAG_GUARD_N must be an integer, got {env!r}") from None
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -513,8 +500,9 @@ def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
     A support is tried only when every pair of its classes shares a term
     and, when ``prefix_only`` (G is left-compressed), when it is a prefix
     of the classes in label order (see the module docstring), so at most
-    k supports are tried.  Each support's terms are restricted once and
-    shared by every solve on it.
+    k supports are tried.  Otherwise all 2**k - 1 class subsets are
+    candidates, and more than ``ENUM_CLASSES`` classes are refused.  Each
+    support's terms are restricted once and shared by every solve on it.
 
     Newton runs from the uniform point of the support.  When it ends above
     1e-9 with every weight still positive, a stall inside the face, it is
@@ -534,13 +522,12 @@ def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
     solved are then compared in mask order: a larger value by more than
     1e-12 wins, and a tie goes to the smaller support.
     """
-    guard = _guard_n()
-    if G.n > guard:
-        raise UnsupportedSizeError(
-            f"support enumeration needs n <= {guard}, got n={G.n} "
-            "(raise via HLAG_GUARD_N)"
-        )
     k = T.n
+    if not prefix_only and k > ENUM_CLASSES:
+        raise UnsupportedSizeError(
+            "support enumeration of a graph that is not left-compressed "
+            f"needs at most {ENUM_CLASSES} classes, got {k}"
+        )
     terms = [tuple(t) for t in T.E.tolist()]
     tmasks = [sum(1 << c for c in set(t)) for t in terms]
     # classes come in label order, so a prefix mask is 0b0..01..1
@@ -626,7 +613,7 @@ def _multistart(T: _Terms, sizes, cfg: SolverConfig):
     polished by Newton.  The ascent stops as soon as a polished point is
     certified (quotient residual <= ``_CERTIFIED``) and nothing found beats
     it by more than ``_TIE``.  Otherwise it runs until no row gains
-    ``cfg.tol`` for 20 steps or ``MAX_ITERATIONS`` steps have run, and
+    ``STALL_TOL`` for 20 steps or ``MAX_ITERATIONS`` steps have run, and
     returns the best polished point if it beats every row, else the best
     row.
     """
@@ -650,7 +637,7 @@ def _multistart(T: _Terms, sizes, cfg: SolverConfig):
             for thr in (1e-3, 1e-6, 1e-9):
                 S = np.where(z > thr * mx)[0]
                 key = S.tobytes()
-                if val[row] < attempts.get(key, -math.inf) + cfg.tol:
+                if val[row] < attempts.get(key, -math.inf) + STALL_TOL:
                     continue
                 attempts[key] = val[row]
                 z0 = z[S] / z[S].sum()
@@ -680,7 +667,7 @@ def _multistart(T: _Terms, sizes, cfg: SolverConfig):
         eta = np.where(acc, np.minimum(eta * 1.3, 1e6), eta * 0.5)
         if step % CHUNK == 0 and polish():
             return certified_z, cfg.restarts
-        stall = stall + 1 if improvement < cfg.tol else 0
+        stall = stall + 1 if improvement < STALL_TOL else 0
         if stall >= 20:
             break
     if step % CHUNK and polish():
@@ -707,11 +694,7 @@ def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
         return LagrangianResult(0.0, x, support, 0.0, method, 0, cfg.seed)
     # a left-compressed graph has an optimum on a prefix of its classes,
     # so support enumeration tries at most one support per class
-    prefix_only = (
-        method != "multistart-ascent"
-        and G.n <= _guard_n()
-        and is_left_compressed(G)
-    )
+    prefix_only = method != "multistart-ascent" and is_left_compressed(G)
     if method == "auto":
         exact = G.n <= 8 or prefix_only
         method = "support-enum" if exact else "multistart-ascent"

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Hypergraph, link
+from .core import link
 from .families import (
     case_family,
     complete,
@@ -57,7 +57,8 @@ BOUND_TOL = 1e-7
 IDENTITY_TOL = 1e-6
 EQUALITY_TOL = 1e-9
 SCALAR_TOL = 1e-10
-# Dirichlet restarts of the solves that auto sends to multistart ascent
+# Dirichlet restarts of the solves that auto sends to multistart ascent;
+# each claim is one auto solve, and the tests cross-check the two methods
 RESTARTS = 16
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -122,14 +123,6 @@ def golden_max(f, a, b, xtol=1e-12):
     return x, f(x)
 
 
-def _solve(G: Hypergraph, seed: int):
-    """One solve per claim, by the method ``auto`` picks: support
-    enumeration for n <= 8 and for left-compressed graphs up to the guard,
-    multistart ascent otherwise.  The cross-check of the two methods lives
-    in the tests, not here."""
-    return maximize(G, SolverConfig(restarts=RESTARTS, seed=seed))
-
-
 def verify_cases(n_range=None, seed: int = 0):
     """The table of case-by-case checks.
 
@@ -146,12 +139,12 @@ def verify_cases(n_range=None, seed: int = 0):
     if not ns:
         raise ValueError("empty n range")
     rows = []
-    reduce_cfg = SolverConfig(seed=seed, restarts=RESTARTS)
+    cfg = SolverConfig(restarts=RESTARTS, seed=seed)
 
     for k in sorted(CASE_BOUNDS):
         for n in ns:
             G = case_family(k, n)
-            res = _solve(G, seed)
+            res = maximize(G, cfg)
             rows.append(
                 _row(
                     f"case{k:02d}-bound-n{n}",
@@ -179,7 +172,7 @@ def verify_cases(n_range=None, seed: int = 0):
             )
 
     for n in ns:
-        res = _solve(star(n, 4), seed)
+        res = maximize(star(n, 4), cfg)
         rows.append(
             _row(
                 f"star-value-n{n}",
@@ -192,7 +185,7 @@ def verify_cases(n_range=None, seed: int = 0):
             )
         )
 
-    res = _solve(k53minus2(), seed)
+    res = maximize(k53minus2(), cfg)
     rows.append(
         _row(
             "k53minus2-bound",
@@ -222,11 +215,8 @@ def verify_cases(n_range=None, seed: int = 0):
     for k in sorted(CASE_BOUNDS):
         G = case_family(k, n_top)
         L = link(G, [LINK_VERTEX[k]])
-        reduced = uncovered_reduce(L, reduce_cfg)
-        gap = (
-            maximize(reduced, reduce_cfg).value
-            - maximize(L, reduce_cfg).value
-        )
+        reduced = uncovered_reduce(L, cfg)
+        gap = maximize(reduced, cfg).value - maximize(L, cfg).value
         rows.append(
             _row(
                 f"case{k:02d}-link-reduction",
@@ -284,12 +274,13 @@ def verify_theorem(
     rows = []
     results = []
     violations = []
+    cfg = SolverConfig(restarts=RESTARTS, seed=seed)
     for n in range(n_min, n_max + 1):
         sr: SearchResult = extremal_lambda_search(
             n, 4, 2, jobs=jobs, seed=seed, guard=guard
         )
         results.append(sr)
-        star_res = _solve(star(n, 4), seed)
+        star_res = maximize(star(n, 4), cfg)
         formula = float(star_lambda(n))
         nonstar_ok = (
             sr.nonstar_witness is None or sr.max_nonstar_value < NONSTAR_CUTOFF

@@ -1,9 +1,12 @@
 import argparse
+import ast
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+import hlag
 from hlag.cli import build_parser, main
 from hlag.families import k53minus2, split, star
 from hlag.hgio import emit_hg, parse_graph, parse_hg
@@ -244,27 +247,49 @@ def test_verify_theorem_rejects_restarts(capsys, tmp_path):
 
 
 def test_shared_flags_only_where_read():
+    # the full inventory: a new option needs a deliberate edit here
     sub = next(
         a for a in build_parser()._actions
         if isinstance(a, argparse._SubParsersAction)
     )
-    shared = {"--format", "--seed", "--tol", "--jobs"}
     flags = {
-        name: shared & {o for a in p._actions for o in a.option_strings}
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
         for name, p in sub.choices.items()
     }
     fmt, seeded = {"--format"}, {"--format", "--seed"}
     assert flags == {
-        "family": fmt,
-        "eval": fmt,
-        "maximize": seeded | {"--tol"},
-        "compress": seeded | {"--tol"},
-        "free": fmt,
-        "search": seeded | {"--jobs"},
-        "symmetrize": fmt,
-        "partition": seeded,
-        "verify": seeded | {"--jobs"},
+        "family": fmt | {"--name", "--n", "--r", "--t", "--p", "--a"},
+        "eval": fmt | {"--graph", "--weights"},
+        "maximize": seeded | {"--graph", "--method", "--restarts"},
+        "compress": seeded | {"--graph", "--t"},
+        "free": fmt | {"--graph", "--pattern", "--t", "--p"},
+        "search": seeded | {
+            "--jobs", "--n", "--r", "--t", "--witness-dir", "--unsafe-size",
+        },
+        "symmetrize": fmt | {"--graph", "--alpha", "--fixed-n", "--trace"},
+        "partition": seeded | {"--graph", "--restarts", "--exhaustive"},
+        "verify": seeded | {
+            "--jobs", "--suite", "--n-min", "--n-max", "--witness-dir", "--unsafe-size",
+        },
     }
+
+
+_ENV_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def test_library_reads_no_environment_variable():
+    # the one access is the BLAS thread pin, which only sets a default
+    reads = []
+    for path in sorted(Path(hlag.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name in _ENV_NAMES:
+                line = source.splitlines()[node.lineno - 1].strip()
+                reads.append((path.name, line))
+    assert reads == [
+        ("__init__.py", 'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")'),
+    ]
 
 
 def test_usage_errors(capsys):

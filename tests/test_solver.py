@@ -28,11 +28,11 @@ from hlag.families import (
 from hlag.freeness import _walk, _walk_table
 from hlag.hgio import emit_hg
 from hlag.solver import (
+    ENUM_CLASSES,
     SolverConfig,
     _classes,
     _covered_within,
     _eg_restricted,
-    _guard_n,
     _lambda_complete,
     _newton_on_support,
     _quotient,
@@ -93,8 +93,8 @@ def test_lambda_complete_4_3():
 @pytest.mark.parametrize("n", range(4, 15))
 def test_lambda_star_sweep(n):
     res = maximize(star(n, 4))
-    # the star is left-compressed, so up to the guard it is solved exactly
-    assert res.method == ("support-enum" if n <= 12 else "multistart-ascent")
+    # the star is left-compressed, so it is solved exactly at every n
+    assert res.method == "support-enum"
     assert res.value == pytest.approx(float(star_lambda(n)), abs=1e-9)
     # optimum puts 1/4 on the center
     assert res.weighting[0] == pytest.approx(0.25, abs=1e-6)
@@ -319,10 +319,9 @@ def _support_enum_reference(G, T, sizes, prefix_only, retry_on_boundary=False):
     ran after every first run ending above 1e-9, on the face boundary too.
     Newton is looked up on ``hlag.solver`` per call, so a patched
     ``_newton_on_support`` sees the reference's runs too."""
-    guard = _guard_n()
-    if G.n > guard:
-        raise UnsupportedSizeError(f"support enumeration needs n <= {guard}")
     k = T.n
+    if not prefix_only and k > ENUM_CLASSES:
+        raise UnsupportedSizeError(f"support enumeration needs k <= {ENUM_CLASSES}")
     terms = [tuple(t) for t in T.E.tolist()]
     tmasks = [sum(1 << c for c in set(t)) for t in terms]
     best_val, best_z, best_support = -1.0, None, None
@@ -471,20 +470,15 @@ def test_newton_run_counts_of_the_n8_family_solves(monkeypatch):
     assert runs == {"uniform": 112, "seeded": 6}
 
 
-@pytest.mark.parametrize("G, guard, method", [
-    (star(9, 4), None, "support-enum"),
-    (star(12, 4), None, "support-enum"),
-    (star(13, 4), None, "multistart-ascent"),
-    (star(10, 4), "9", "multistart-ascent"),
+@pytest.mark.parametrize("G, method", [
+    (star(9, 4), "support-enum"),
+    (star(12, 4), "support-enum"),
+    (star(13, 4), "support-enum"),
     (Hypergraph(4, 9, frozenset(  # the centre relabeled 9
         tuple(sorted(10 - v for v in e)) for e in star(9, 4).edges
-    )), None, "multistart-ascent"),
-], ids=["lc-n9", "lc-n12", "lc-n13", "lc-n10-guard9", "not-lc-n9"])
-def test_auto_solves_left_compressed_graphs_by_prefix_enumeration(
-    monkeypatch, G, guard, method
-):
-    if guard is not None:
-        monkeypatch.setenv("HLAG_GUARD_N", guard)
+    )), "multistart-ascent"),
+], ids=["lc-n9", "lc-n12", "lc-n13", "not-lc-n9"])
+def test_auto_solves_left_compressed_graphs_by_prefix_enumeration(G, method):
     res = maximize(G)
     assert res.method == method
     assert res.value == pytest.approx(float(star_lambda(G.n)), abs=1e-12)
@@ -708,32 +702,49 @@ def test_uncovered_reduce_noop_when_pairs_covered():
     assert uncovered_reduce(G) == G
 
 
+def _tight_path(n):
+    """The edges {i, ..., i + 3} on [n]: every vertex its own class, and
+    not left-compressed ({1, 3, 4, 5} is missing)."""
+    return Hypergraph(4, n, frozenset(tuple(range(i, i + 4)) for i in range(1, n - 2)))
+
+
 def test_support_enum_guard():
-    with pytest.raises(UnsupportedSizeError):
-        maximize(complete(13, 4), SolverConfig(method="support-enum"))
-    # raising the guard explicitly permits the size (not executed at 13 for
-    # time; 9 > the auto cut of 8 exercises the guard plumbing)
-    res = maximize(complete(9, 4), SolverConfig(method="support-enum"))
+    # the full walk over class subsets is refused past ENUM_CLASSES classes
+    P = _tight_path(13)
+    assert not is_left_compressed(P) and len(_classes(P)) == 13
+    with pytest.raises(UnsupportedSizeError, match="at most 12 classes, got 13"):
+        maximize(P, SolverConfig(method="support-enum"))
+    res = maximize(_tight_path(12), SolverConfig(method="support-enum"))
     assert res.method == "support-enum"
+    assert res.value == pytest.approx(1 / 256, abs=1e-15)
 
 
-def test_guard_env_override(monkeypatch):
-    monkeypatch.setenv("HLAG_GUARD_N", "4")
-    with pytest.raises(UnsupportedSizeError):
-        maximize(complete(5, 4), SolverConfig(method="support-enum"))
+@pytest.mark.parametrize("G, exact", [
+    (star(40, 4), float(star_lambda(40))),
+    (complete(24, 4), math.comb(24, 4) / 24**4),
+], ids=["star40", "complete24"])
+def test_left_compressed_graphs_are_solved_exactly_at_any_n(G, exact):
+    # one prefix of classes carries a term: the whole vertex set
+    res = maximize(G)
+    assert res.method == "support-enum"
+    assert res.restarts_used == 1
+    assert res.value == pytest.approx(exact, abs=1e-15)
 
 
-def test_guard_env_rejects_non_integer(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("HLAG_GUARD_N", "twelve")
-    with pytest.raises(ValueError, match="HLAG_GUARD_N.*'twelve'"):
-        maximize(complete(5, 4), SolverConfig(method="support-enum"))
-    graph = tmp_path / "k5.hg"
-    graph.write_text(emit_hg(complete(5, 4)))
-    assert main(["maximize", "--graph", str(graph)]) == 2
+@pytest.mark.parametrize("G, code", [
+    (split(20, 4), 0),  # not left-compressed, but two classes
+    (_tight_path(13), 2),
+], ids=["split20", "path13"])
+def test_cli_support_enum_is_sized_by_classes(capsys, tmp_path, G, code):
+    graph = tmp_path / "g.hg"
+    graph.write_text(emit_hg(G))
+    assert main(["maximize", "--graph", str(graph), "--method", "support-enum"]) == code
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: HLAG_GUARD_N")
-    assert "'twelve'" in captured.err
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("error: support enumeration")
+    else:
+        assert captured.out.startswith("value ")
 
 
 def _random17(seed):
