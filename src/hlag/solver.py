@@ -75,6 +75,7 @@ _CERTIFIED = 1e-10  # quotient KKT residual that ends the ascent early
 _TIE = 1e-12  # value margin within which a certified point is preferred
 _CLAMP = 1e-12  # weights below _CLAMP * max(x) are treated as exact zeros
 _HALVINGS = np.ldexp(1.0, -np.arange(40))  # Newton step lengths 1, 1/2, ..., 2**-39
+_BOUNDARY_STREAK = 5  # Newton iterations in a row with no feasible step >= 1/2
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def kkt_report(G: Hypergraph, x) -> KktReport:
 # A term array is the class quotient or its restriction to one support.
 
 
-def _classes(G: Hypergraph) -> tuple:
+def _classes(G: Hypergraph, intervals: bool = False) -> tuple:
     """Classes of vertices with mirrored links, ordered by smallest vertex.
 
     The union-find over ``same_links`` pairs; each class is a sorted tuple
@@ -199,6 +200,8 @@ def _classes(G: Hypergraph) -> tuple:
     i and j are mirrored iff they have equal degree and every edge through
     i but not j has its mirror (i swapped for j) among the edges through
     j, since the mirror map is then a bijection between the two sides.
+    With ``intervals`` (G is left-compressed, so its classes are label
+    intervals) only the n - 1 pairs (i, i + 1) are tested.
     """
     through = [set() for _ in range(G.n + 1)]
     for e in G.edges:
@@ -223,10 +226,13 @@ def _classes(G: Hypergraph) -> tuple:
             a = parent[a]
         return a
 
-    for i in range(1, G.n + 1):
-        for j in range(i + 1, G.n + 1):
-            if find(i) != find(j) and mirrored(i, j):
-                parent[find(j)] = find(i)
+    if intervals:
+        pairs = ((i, i + 1) for i in range(1, G.n))
+    else:
+        pairs = itertools.combinations(range(1, G.n + 1), 2)
+    for i, j in pairs:
+        if find(i) != find(j) and mirrored(i, j):
+            parent[find(j)] = find(i)
     classes = {}
     for v in range(1, G.n + 1):
         classes.setdefault(find(v), []).append(v)
@@ -368,6 +374,16 @@ def _restrict(T: _Terms, S):
     return S, _Terms(pos[T.E[inside]], T.w[inside], len(S))
 
 
+class _NewtonRun(tuple):
+    """A Newton run's (weighting, residual) pair, with how the run ended
+    as ``label``: ``resolved``, ``boundary`` or ``interior``."""
+
+    def __new__(cls, weighting, residual, label):
+        run = super().__new__(cls, (weighting, residual))
+        run.label = label
+        return run
+
+
 def _newton_on_support(Ts: _Terms, S, n, x0=None, iters=60):
     """Damped Newton for the stationarity system of Ts, the terms
     restricted to the sorted support S (0-based labels of n variables).
@@ -376,14 +392,22 @@ def _newton_on_support(Ts: _Terms, S, n, x0=None, iters=60):
     candidates x + 2**-j * step at once; of the rows with every weight
     >= -1e-10 it accepts, in order, the first that lowers the residual, as
     halving t from 1 would.  The run stops when no row is accepted, at
-    residual 1e-14 or after ``iters`` iterations.
+    residual 1e-14 or after ``iters`` iterations.  It also stops once
+    ``_BOUNDARY_STREAK`` iterations in a row find neither the full nor the
+    half step feasible: the step keeps pointing out of the face, whose
+    stationary point then lies outside it.
 
-    Returns (full-length weighting, residual of the stationarity system) or
-    (None, inf) when the support carries no terms.
+    Returns a ``_NewtonRun``: (full-length weighting, residual of the
+    stationarity system), labelled ``resolved`` when the residual is at
+    most 1e-6, else ``boundary`` when the streak stopped the run (pushed
+    out of its face) and ``interior`` when no step was accepted or the
+    iterations ran out.  An ``interior`` run can still end on the edge of
+    the face, with a weight clipped to 0.  The weighting is None and the
+    residual inf when the support carries no terms.
     """
     k = Ts.n
     if Ts.E.size == 0:
-        return None, math.inf
+        return _NewtonRun(None, math.inf, "interior")
 
     x = np.full(k, 1.0 / k) if x0 is None else np.asarray(x0, dtype=float)
     g = Ts.grad(x[None, :])[0]
@@ -393,6 +417,7 @@ def _newton_on_support(Ts: _Terms, S, n, x0=None, iters=60):
     J[:k, k] = -1.0
     J[k, :k] = 1.0
     F = np.empty(k + 1)
+    streak = 0  # iterations in a row whose longest feasible step is <= 1/4
     for _ in range(iters):
         if fnorm < 1e-14:
             break
@@ -405,8 +430,12 @@ def _newton_on_support(Ts: _Terms, S, n, x0=None, iters=60):
             step = np.linalg.lstsq(J, -F, rcond=None)[0]
         # row j is x + 2**-j * step, bit for bit as t = 1, 1/2, ... forms it
         X = x + _HALVINGS[:, None] * step[:k]
+        feasible = X.min(axis=1) >= -1e-10
+        streak = 0 if feasible[0] or feasible[1] else streak + 1
+        if streak == _BOUNDARY_STREAK:
+            break
         accepted = False
-        for j in np.flatnonzero(X.min(axis=1) >= -1e-10):
+        for j in np.flatnonzero(feasible):
             xn = X[j]
             cn = c + _HALVINGS[j] * step[k]
             gn = Ts.grad(xn[None, :])[0]
@@ -416,14 +445,18 @@ def _newton_on_support(Ts: _Terms, S, n, x0=None, iters=60):
                 break
         if not accepted:
             break
+    if fnorm <= 1e-6:
+        label = "resolved"
+    else:
+        label = "boundary" if streak == _BOUNDARY_STREAK else "interior"
     x = np.clip(x, 0.0, None)
     total = x.sum()
     if total <= 0:
-        return None, math.inf
+        return _NewtonRun(None, math.inf, label)
     x = x / total
     out = np.zeros(n)
     out[S] = x
-    return out, fnorm
+    return _NewtonRun(out, fnorm, label)
 
 
 def _eg_restricted(Ts: _Terms, iters=3000, tol=1e-16):
@@ -505,14 +538,18 @@ def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
     support's terms are restricted once and shared by every solve on it.
 
     Newton runs from the uniform point of the support.  When it ends above
-    1e-9 with every weight still positive, a stall inside the face, it is
-    retried from a degree-weighted seed; a run that ended on the face
-    boundary (a weight clipped to 0) is not.  The retry decides star(n, 4)
-    for n in {6, 7, 10, 11, 12}, whose bordered Jacobian is singular at the
-    uniform start.  A resolved point with a tangent ascent direction is a
-    saddle and is re-seeded from exponentiated-gradient ascent.  When no
-    support resolves, the class masses of the uniform weighting on
-    vertices come back.
+    1e-9 with every weight still positive and is not labelled ``boundary``,
+    a stall inside the face, it is retried from a degree-weighted seed.  A
+    run that ended on the face boundary (a weight clipped to 0) or was
+    stopped as pushed out of its face (five iterations in a row with no
+    feasible step of length 1/2 or more, see ``_newton_on_support``) is
+    not.  The retry decides star(n, 4) for n in {6, 7, 10, 11, 12}, whose
+    bordered Jacobian is singular at the uniform start: no step is
+    feasible at the first iteration, so that run stalls inside the face.
+    A resolved point with a tangent ascent direction is a saddle and is
+    re-seeded from exponentiated-gradient ascent.  When no support
+    resolves, the class masses of the uniform weighting on vertices come
+    back.
 
     Supports are visited by vertex count s (the sizes of their classes
     summed), largest first.  No weighting on s vertices beats
@@ -553,9 +590,15 @@ def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
         if not _covered_within(inside, S):
             continue
         S, Ts = _restrict(T, S)
-        z, fnorm = _newton_on_support(Ts, S, k)
+        run = _newton_on_support(Ts, S, k)
+        z, fnorm = run
         tried += 1
-        if z is not None and fnorm > 1e-9 and z[S].min() > 0.0:
+        if (
+            z is not None
+            and fnorm > 1e-9
+            and z[S].min() > 0.0
+            and run.label != "boundary"
+        ):
             # stalled inside the face: retry from a degree-weighted seed
             # (breaks symmetric saddles and the star's singular start)
             seed = np.bincount(Ts.E.ravel(), minlength=len(S)) + 1.0
@@ -698,7 +741,7 @@ def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     if method == "auto":
         exact = G.n <= 8 or prefix_only
         method = "support-enum" if exact else "multistart-ascent"
-    E, w, sizes, of = _quotient(G, _classes(G))
+    E, w, sizes, of = _quotient(G, _classes(G, intervals=prefix_only))
     T = _Terms(E, w, len(sizes))
     if method == "support-enum":
         z, used = _support_enum(G, T, sizes, prefix_only)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -35,6 +36,7 @@ from hlag.solver import (
     _eg_restricted,
     _lambda_complete,
     _newton_on_support,
+    _NewtonRun,
     _quotient,
     _quotient_residual,
     _restrict,
@@ -185,12 +187,15 @@ def test_theorem_suite_support_count(monkeypatch):
     assert (len(seen), sum(seen)) == (81, 121)
 
 
-def _newton_halving_reference(Ts, S, n, x0=None, iters=60):
+def _newton_halving_reference(Ts, S, n, x0=None, iters=60, streak_stop=5):
     """``_newton_on_support`` with its first line search: the step lengths
-    t = 1, 1/2, ... tried one at a time, up to 40 of them."""
+    t = 1, 1/2, ... tried one at a time, up to 40 of them.  It stops after
+    ``streak_stop`` iterations in a row where neither t = 1 nor t = 1/2
+    keeps every weight nonnegative, and with ``streak_stop=None`` it runs
+    as before that stop, never labelling a run ``boundary``."""
     k = Ts.n
     if Ts.E.size == 0:
-        return None, math.inf
+        return _NewtonRun(None, math.inf, "interior")
     x = np.full(k, 1.0 / k) if x0 is None else np.asarray(x0, dtype=float)
     g = Ts.grad(x[None, :])[0]
     c = float(x @ g)
@@ -199,6 +204,7 @@ def _newton_halving_reference(Ts, S, n, x0=None, iters=60):
     J[:k, k] = -1.0
     J[k, :k] = 1.0
     F = np.empty(k + 1)
+    streak, pushed_out = 0, False
     for _ in range(iters):
         if fnorm < 1e-14:
             break
@@ -209,6 +215,13 @@ def _newton_halving_reference(Ts, S, n, x0=None, iters=60):
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        if (x + step[:k]).min() >= -1e-10 or (x + 0.5 * step[:k]).min() >= -1e-10:
+            streak = 0
+        else:
+            streak += 1
+        if streak == streak_stop:
+            pushed_out = True
+            break
         t, accepted = 1.0, False
         for _ in range(40):
             xn = x + t * step[:k]
@@ -222,30 +235,37 @@ def _newton_halving_reference(Ts, S, n, x0=None, iters=60):
             t *= 0.5
         if not accepted:
             break
+    if fnorm <= 1e-6:
+        label = "resolved"
+    else:
+        label = "boundary" if pushed_out else "interior"
     x = np.clip(x, 0.0, None)
     total = x.sum()
     if total <= 0:
-        return None, math.inf
+        return _NewtonRun(None, math.inf, label)
     x = x / total
     out = np.zeros(n)
     out[S] = x
-    return out, fnorm
+    return _NewtonRun(out, fnorm, label)
 
 
 def _checked_newton(monkeypatch):
     """Make every Newton run also run the halving reference and assert
-    bit-equal (weighting, fnorm); returns the growing list of the checked
-    runs' supports."""
+    bit-equal (weighting, fnorm) and the same label; returns the growing
+    list of the checked runs' supports."""
     checked = []
 
     def both(Ts, S, n, x0=None, iters=60):
-        z, fnorm = _newton_on_support(Ts, S, n, x0, iters)
-        zr, fr = _newton_halving_reference(Ts, S, n, x0, iters)
+        run = _newton_on_support(Ts, S, n, x0, iters)
+        z, fnorm = run
+        ref = _newton_halving_reference(Ts, S, n, x0, iters)
+        zr, fr = ref
         assert (z is None) == (zr is None)
         assert z is None or z.tobytes() == zr.tobytes()
         assert float(fnorm).hex() == float(fr).hex()
+        assert run.label == ref.label
         checked.append(tuple(S))
-        return z, fnorm
+        return run
 
     monkeypatch.setattr("hlag.solver._newton_on_support", both)
     return checked
@@ -263,11 +283,11 @@ def _star_stall():
 # Newton runs of the 72 maximal families' solves once the complete-graph
 # bound prunes supports; the parametrized ``runs`` are those of the
 # reference that solves every support
-PRUNED_NEWTON_RUNS = {(8, True): 118, (8, False): 258, (9, True): 116, (9, False): 378}
+PRUNED_NEWTON_RUNS = {(8, True): 116, (8, False): 247, (9, True): 115, (9, False): 354}
 
 
 @pytest.mark.parametrize("n, prefix, runs", [
-    (8, True, 205), (8, False, 1130), (9, True, 203), (9, False, 1153),
+    (8, True, 203), (8, False, 1114), (9, True, 202), (9, False, 1129),
 ])
 def test_one_pass_line_search_matches_the_halving_loop(monkeypatch, n, prefix, runs):
     # every Newton run, seeded ones too, of the 72 maximal families' solves,
@@ -337,9 +357,12 @@ def _support_enum_reference(G, T, sizes, prefix_only, retry_on_boundary=False):
         if not _covered_within(inside, S):
             continue
         S, Ts = _restrict(T, S)
-        z, fnorm = hlag.solver._newton_on_support(Ts, S, k)
+        run = hlag.solver._newton_on_support(Ts, S, k)
+        z, fnorm = run
         tried += 1
-        if z is not None and fnorm > 1e-9 and (retry_on_boundary or z[S].min() > 0.0):
+        if z is not None and fnorm > 1e-9 and (
+            retry_on_boundary or (z[S].min() > 0.0 and run.label != "boundary")
+        ):
             seed = np.bincount(Ts.E.ravel(), minlength=len(S)) + 1.0
             seed = seed / seed.sum()
             z2, f2 = hlag.solver._newton_on_support(Ts, S, k, x0=seed)
@@ -391,15 +414,23 @@ def _without_supports_tried(res):
     return dataclasses.replace(res, restarts_used=0)
 
 
-def test_retry_after_interior_stalls_only_changes_no_result(monkeypatch):
-    # auto makes the very same support-enum call on every graph with
-    # n <= 8, so it is solved separately only on the larger ones, where
-    # it may route to multistart instead; the reference solves every
-    # support, so only the supports tried differ
+@functools.cache
+def _corpus_solves():
+    """The solves of ``_solver_corpus("retry-gate", 200)`` and their
+    results: support enumeration on every graph, and ``auto`` on those
+    with n > 8, where it may route to multistart instead (on n <= 8 it
+    makes the very same support-enum call).  Shared by the tests that
+    re-solve the corpus with a reference routine; call it before patching
+    the solver."""
     graphs = _solver_corpus("retry-gate", 200)
     solves = [(G, SolverConfig(method="support-enum")) for G in graphs]
     solves += [(G, SolverConfig()) for G in graphs if G.n > 8]
-    gated = [maximize(G, cfg) for G, cfg in solves]
+    return solves, [maximize(G, cfg) for G, cfg in solves]
+
+
+def test_retry_after_interior_stalls_only_changes_no_result(monkeypatch):
+    # the reference solves every support, so only the supports tried differ
+    solves, gated = _corpus_solves()
     monkeypatch.setattr(
         "hlag.solver._support_enum",
         functools.partial(_support_enum_reference, retry_on_boundary=True),
@@ -416,16 +447,70 @@ def test_complete_graph_bound_prunes_no_winning_support(monkeypatch):
     # a support on s vertices is skipped once lambda(K_s^4) is more than
     # 1e-9 below a value reached; against the routine that solves every
     # support, only the supports tried may change, and never upwards
-    graphs = _solver_corpus("prune", 300)
-    assert len(graphs) == 527
-    cfg = SolverConfig(method="support-enum")
-    pruned = [maximize(G, cfg) for G in graphs]
+    solves, pruned = _corpus_solves()
     monkeypatch.setattr("hlag.solver._support_enum", _support_enum_reference)
-    full = [maximize(G, cfg) for G in graphs]
-    for G, a, b in zip(graphs, pruned, full):
+    full = [maximize(G, cfg) for G, cfg in solves]
+    for (G, _), a, b in zip(solves, pruned, full):
         assert _without_supports_tried(a) == _without_supports_tried(b), G
         assert a.restarts_used <= b.restarts_used, G
     assert sum(r.restarts_used for r in pruned) < sum(r.restarts_used for r in full)
+
+
+def test_stopping_runs_pushed_out_of_their_face_changes_no_result(monkeypatch):
+    # against the reference Newton without the streak stop, whose runs
+    # are never labelled boundary, so every stall with all weights
+    # positive is retried as before the stop: every field is equal,
+    # supports tried included, on the multistart solves too
+    solves, stopped = _corpus_solves()
+    labels = collections.Counter()
+
+    def unstopped(Ts, S, n, x0=None, iters=60):
+        labels[_newton_on_support(Ts, S, n, x0, iters).label] += 1
+        return _newton_halving_reference(Ts, S, n, x0, iters, streak_stop=None)
+
+    monkeypatch.setattr("hlag.solver._newton_on_support", unstopped)
+    assert [maximize(G, cfg) for G, cfg in solves] == stopped
+    # the stop fires on this corpus, so the comparison can fail
+    assert labels["boundary"] > 0
+
+
+def test_streak_stop_keeps_a_run_that_resolves_after_three_short_steps():
+    # the optimum of this 6-vertex graph comes from a Newton run that finds
+    # no feasible step of length >= 1/2 three iterations in a row before it
+    # resolves; a streak stop of 3 or less drops it, and the value falls to
+    # 0.005208333 on 5 vertices
+    G = Hypergraph(4, 6, frozenset([
+        (1, 2, 3, 5), (1, 2, 4, 6), (1, 3, 4, 5),
+        (1, 3, 4, 6), (1, 3, 5, 6), (2, 3, 4, 6),
+    ]))
+    res = maximize(G)
+    assert res.value == pytest.approx(0.00529174498758728, abs=1e-15)
+    assert res.support == (1, 2, 3, 4, 5, 6)
+
+
+def test_kernel_counts_of_the_theorem_suite(monkeypatch):
+    # the counts repeat exactly.  Before Newton stopped runs pushed out of
+    # their face they were 2,035 gradients and 1,226 Hessians in 129 runs
+    calls = collections.Counter()
+    for name in ("grad", "hessian"):
+        kernel = getattr(_Terms, name)
+
+        def counted(self, X, kernel=kernel, name=name):
+            calls[name] += 1
+            return kernel(self, X)
+
+        monkeypatch.setattr(_Terms, name, counted)
+    labels = collections.Counter()
+
+    def labelled(Ts, S, n, x0=None, iters=60):
+        run = _newton_on_support(Ts, S, n, x0, iters)
+        labels[run.label] += 1
+        return run
+
+    monkeypatch.setattr("hlag.solver._newton_on_support", labelled)
+    assert verify_theorem(n_min=4, n_max=8).passed
+    assert calls == {"grad": 965, "hessian": 746}
+    assert labels == {"resolved": 106, "boundary": 18, "interior": 3}
 
 
 @pytest.mark.parametrize("s", range(4, 13))
@@ -455,7 +540,11 @@ def test_multistart_never_beats_the_verify_solve():
 
 def test_newton_run_counts_of_the_n8_family_solves(monkeypatch):
     # the degree-seeded retry runs only after a stall inside the face:
-    # 6 seeded runs (retries and ascent re-seeds); 8 before the
+    # 4 seeded runs (retries and ascent re-seeds).  There were 6 before
+    # Newton stopped runs pushed out of their face: the retries on the
+    # 6-class prefix of the 26th family in walk order and on the 5-class
+    # prefix of the 30th followed such runs, and neither resolved (they
+    # ended at residuals 0.0124 and 0.0115).  There were 8 before the
     # complete-graph bound, when 197 supports were solved, and 24 when the
     # retry also ran after a stall on the face boundary
     runs = {"uniform": 0, "seeded": 0}
@@ -467,7 +556,7 @@ def test_newton_run_counts_of_the_n8_family_solves(monkeypatch):
     monkeypatch.setattr("hlag.solver._newton_on_support", counting)
     for G in _maximal_families(8):
         maximize(G)
-    assert runs == {"uniform": 112, "seeded": 6}
+    assert runs == {"uniform": 112, "seeded": 4}
 
 
 @pytest.mark.parametrize("G, method", [
@@ -543,6 +632,19 @@ def test_classes_of_left_compressed_graphs_are_label_intervals():
     for G in graphs:
         assert is_left_compressed(G)
         assert sum(_classes(G), ()) == tuple(G.vertices)
+
+
+def test_adjacent_pairs_find_the_classes_of_left_compressed_graphs():
+    # the classes are label intervals, so on a left-compressed graph the
+    # n - 1 tests of (i, i + 1) find the classes that all pairs find
+    walked = 0
+    for n in range(4, 9):
+        table = _walk_table(n, 4, 2, None)
+        for present, _ in _walk(table, 2):
+            G = Hypergraph(4, n, frozenset(table.edge_set(present)))
+            assert _classes(G, intervals=True) == _classes(G), G
+            walked += 1
+    assert walked == 4370
 
 
 def test_reversed_labels_get_full_enumeration(monkeypatch):
