@@ -249,16 +249,18 @@ def _newton_halving_reference(Ts, S, n, x0=None, iters=60, streak_stop=5):
     return _NewtonRun(out, fnorm, label)
 
 
-def _checked_newton(monkeypatch):
+def _checked_newton(monkeypatch, streak_stop=5):
     """Make every Newton run also run the halving reference and assert
     bit-equal (weighting, fnorm) and the same label; returns the growing
-    list of the checked runs' supports."""
+    list of the checked runs' supports.  ``streak_stop=None`` turns the
+    boundary stop off in both."""
     checked = []
+    monkeypatch.setattr("hlag.solver._BOUNDARY_STREAK", streak_stop)
 
     def both(Ts, S, n, x0=None, iters=60):
         run = _newton_on_support(Ts, S, n, x0, iters)
         z, fnorm = run
-        ref = _newton_halving_reference(Ts, S, n, x0, iters)
+        ref = _newton_halving_reference(Ts, S, n, x0, iters, streak_stop)
         zr, fr = ref
         assert (z is None) == (zr is None)
         assert z is None or z.tobytes() == zr.tobytes()
@@ -280,30 +282,44 @@ def _star_stall():
     return _restrict(_Terms(E, w, len(sizes)), [0, 1])
 
 
-# Newton runs of the 72 maximal families' solves once the complete-graph
-# bound prunes supports; the parametrized ``runs`` are those of the
-# reference that solves every support
-PRUNED_NEWTON_RUNS = {(8, True): 116, (8, False): 247, (9, True): 115, (9, False): 354}
+# Newton runs of the 72 maximal families' solves, as (runs once the
+# complete-graph bound prunes supports, runs of the reference that solves
+# every support); the parametrized ``runs`` are the reference's with the
+# boundary stop turned off, where no run is labelled boundary and every
+# interior stall is retried
+NEWTON_RUNS = {
+    (8, True): (116, 203), (8, False): (247, 1114),
+    (9, True): (115, 202), (9, False): (354, 1129),
+}
+UNSTOPPED_PRUNED_NEWTON_RUNS = {
+    (8, True): 118, (8, False): 258, (9, True): 116, (9, False): 378,
+}
 
 
 @pytest.mark.parametrize("n, prefix, runs", [
-    (8, True, 203), (8, False, 1114), (9, True, 202), (9, False, 1129),
+    (8, True, 205), (8, False, 1130), (9, True, 203), (9, False, 1153),
 ])
 def test_one_pass_line_search_matches_the_halving_loop(monkeypatch, n, prefix, runs):
     # every Newton run, seeded ones too, of the 72 maximal families' solves,
-    # by the pruned routine and by the reference that solves every support
-    checked = _checked_newton(monkeypatch)
+    # by the pruned routine and by the reference that solves every support,
+    # without the boundary stop and with it
     if not prefix:
         monkeypatch.setattr("hlag.solver.is_left_compressed", lambda G: False)
     cfg = SolverConfig(method="support-enum")
-    for G in _maximal_families(n):
-        maximize(G, cfg)
-    assert len(checked) == PRUNED_NEWTON_RUNS[n, prefix]
-    checked.clear()
-    monkeypatch.setattr("hlag.solver._support_enum", _support_enum_reference)
-    for G in _maximal_families(n):
-        maximize(G, cfg)
-    assert len(checked) == runs
+    pinned = {None: (UNSTOPPED_PRUNED_NEWTON_RUNS[n, prefix], runs),
+              5: NEWTON_RUNS[n, prefix]}
+    support_enum = hlag.solver._support_enum
+    for streak_stop, (pruned_runs, reference_runs) in pinned.items():
+        checked = _checked_newton(monkeypatch, streak_stop)
+        monkeypatch.setattr("hlag.solver._support_enum", support_enum)
+        for G in _maximal_families(n):
+            maximize(G, cfg)
+        assert len(checked) == pruned_runs
+        checked.clear()
+        monkeypatch.setattr("hlag.solver._support_enum", _support_enum_reference)
+        for G in _maximal_families(n):
+            maximize(G, cfg)
+        assert len(checked) == reference_runs
 
 
 def test_one_pass_line_search_matches_on_the_star_stall(monkeypatch):
