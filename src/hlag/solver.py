@@ -10,11 +10,14 @@ cross-check each other:
   quotient, off the support too) and that nothing found beats by more
   than 1e-12, and otherwise runs to the stall rule or ``MAX_ITERATIONS``;
 * ``support-enum`` — exact enumeration of candidate supports, solving the
-  stationarity system on each support by damped Newton; on a
-  left-compressed graph only the prefix supports of classes in label
-  order are tried, at most one per class, and otherwise every subset of
-  at most ``ENUM_CLASSES`` classes; no support is tried on fewer vertices
-  than a complete graph would need to reach the best value found.
+  stationarity system on each support by damped Newton from its uniform
+  point, with at most one retry chosen by how that run ended: from a
+  degree-weighted seed after a stall inside the face, and from the
+  multistart ascent on the support after a saddle; on a left-compressed
+  graph only the prefix supports of classes in label order are tried, at
+  most one per class, and otherwise every subset of at most
+  ``ENUM_CLASSES`` classes; no support is tried on fewer vertices than a
+  complete graph would need to reach the best value found.
 
 ``auto`` picks support-enum for n <= 8 and for left-compressed graphs of
 any size; multistart otherwise.
@@ -459,36 +462,6 @@ def _newton_on_support(Ts: _Terms, S, n, x0=None, iters=60):
     return _NewtonRun(out, fnorm, label)
 
 
-def _eg_restricted(Ts: _Terms, iters=3000, tol=1e-16):
-    """Single-chain exponentiated-gradient ascent on the restricted terms Ts.
-
-    Deterministic (uniform start, no RNG); used to seed Newton on supports
-    where the damped iteration stalls away from the stationary point.
-    Returns the restricted point (length Ts.n).
-    """
-    k = Ts.n
-    x = np.full(k, 1.0 / k)
-    val = float(Ts.value(x[None, :])[0])
-    eta, stall = 1.0, 0
-    for _ in range(iters):
-        g = Ts.grad(x[None, :])[0]
-        y = x * np.exp(eta * (g - g.max()))
-        s = y.sum()
-        if s <= 0:
-            break
-        y = y / s
-        vy = float(Ts.value(y[None, :])[0])
-        if vy >= val:
-            stall = stall + 1 if vy - val < tol else 0
-            x, val, eta = y, vy, min(eta * 1.3, 1e6)
-        else:
-            eta *= 0.5
-            stall += 1
-        if stall >= 30:
-            break
-    return x
-
-
 def _tangent_ascent_exists(Ts: _Terms, x) -> bool:
     """True when the simplex-tangent Hessian of the restricted terms Ts at
     the restricted point x has positive curvature.
@@ -526,6 +499,38 @@ def _lambda_complete(s: int, r: int) -> float:
     return math.comb(s, r) / s**r
 
 
+def _solve_support(T: _Terms, Ts: _Terms, S, k: int) -> _NewtonRun:
+    """Solve one support: Newton from its uniform point, then at most one
+    more run, chosen by how the first ended.
+
+    Ts is T restricted to the sorted support S (0-based labels of T's k
+    variables).  A ``boundary`` run is kept: the face's stationary point
+    lies outside it.  An ``interior`` stall is retried from a
+    degree-weighted seed; this decides star(n, 4) for n in
+    {6, 7, 10, 11, 12}, whose bordered Jacobian is singular at the uniform
+    start, so no step is feasible at the first iteration.  A ``resolved``
+    point with a tangent ascent direction is a saddle, and it is retried
+    from the multistart ascent on Ts from its uniform point.  The retry
+    replaces the first run when it resolves and the first did not, or when
+    both resolve and it reaches a higher value.
+    """
+    run = _newton_on_support(Ts, S, k)
+    m = len(S)
+    if run.label == "interior":
+        seed = np.bincount(Ts.E.ravel(), minlength=m) + 1.0
+        x0 = seed / seed.sum()
+    elif run.label == "resolved" and _tangent_ascent_exists(Ts, run[0][S]):
+        x0 = _multistart(Ts, np.full((1, m), 1.0 / m))
+    else:
+        return run
+    retry = _newton_on_support(Ts, S, k, x0=x0)
+    better = retry.label == "resolved" and (
+        run.label != "resolved"
+        or float(T.value(retry[0][None, :])[0]) > float(T.value(run[0][None, :])[0])
+    )
+    return retry if better else run
+
+
 def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
     """Exact enumeration of class supports; returns (class masses, supports
     tried).
@@ -535,21 +540,10 @@ def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
     of the classes in label order (see the module docstring), so at most
     k supports are tried.  Otherwise all 2**k - 1 class subsets are
     candidates, and more than ``ENUM_CLASSES`` classes are refused.  Each
-    support's terms are restricted once and shared by every solve on it.
-
-    Newton runs from the uniform point of the support.  When it ends above
-    1e-9 with every weight still positive and is not labelled ``boundary``,
-    a stall inside the face, it is retried from a degree-weighted seed.  A
-    run that ended on the face boundary (a weight clipped to 0) or was
-    stopped as pushed out of its face (five iterations in a row with no
-    feasible step of length 1/2 or more, see ``_newton_on_support``) is
-    not.  The retry decides star(n, 4) for n in {6, 7, 10, 11, 12}, whose
-    bordered Jacobian is singular at the uniform start: no step is
-    feasible at the first iteration, so that run stalls inside the face.
-    A resolved point with a tangent ascent direction is a saddle and is
-    re-seeded from exponentiated-gradient ascent.  When no support
-    resolves, the class masses of the uniform weighting on vertices come
-    back.
+    support's terms are restricted once and solved by ``_solve_support``;
+    a support whose run is not labelled ``resolved`` is dropped.  When no
+    support resolves, the class masses of the uniform weighting on
+    vertices come back.
 
     Supports are visited by vertex count s (the sizes of their classes
     summed), largest first.  No weighting on s vertices beats
@@ -590,34 +584,11 @@ def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
         if not _covered_within(inside, S):
             continue
         S, Ts = _restrict(T, S)
-        run = _newton_on_support(Ts, S, k)
-        z, fnorm = run
+        run = _solve_support(T, Ts, S, k)
         tried += 1
-        if (
-            z is not None
-            and fnorm > 1e-9
-            and z[S].min() > 0.0
-            and run.label != "boundary"
-        ):
-            # stalled inside the face: retry from a degree-weighted seed
-            # (breaks symmetric saddles and the star's singular start)
-            seed = np.bincount(Ts.E.ravel(), minlength=len(S)) + 1.0
-            seed = seed / seed.sum()
-            z2, f2 = _newton_on_support(Ts, S, k, x0=seed)
-            if z2 is not None and f2 < fnorm:
-                z, fnorm = z2, f2
-        if z is not None and fnorm <= 1e-6 and _tangent_ascent_exists(Ts, z[S]):
-            # Newton converged to a saddle of the restricted problem;
-            # re-seed from ascent and keep the better stationary point
-            z3, f3 = _newton_on_support(Ts, S, k, x0=_eg_restricted(Ts))
-            if (
-                z3 is not None
-                and f3 <= 1e-6
-                and float(T.value(z3[None, :])[0]) > float(T.value(z[None, :])[0])
-            ):
-                z, fnorm = z3, f3
-        if z is None or fnorm > 1e-6:
+        if run.label != "resolved":
             continue
+        z = run[0]
         val = float(T.value(z[None, :])[0])
         top = max(top, val)
         solved.append((smask, val, z, tuple(c for c in range(k) if z[c] > 0.0)))
@@ -646,24 +617,22 @@ def _quotient_residual(T: _Terms, z) -> float:
     )
 
 
-def _multistart(T: _Terms, sizes, cfg: SolverConfig):
-    """Multistart ascent from the uniform weighting on vertices and
-    ``cfg.restarts`` Dirichlet(1) points, handed to Newton early; returns
-    (class masses, restarts).
+def _multistart(T: _Terms, X: np.ndarray):
+    """Exponentiated-gradient ascent from the start rows X, one point of
+    the simplex each, handed to Newton early; returns the best point.
 
-    Every ``CHUNK`` exponentiated-gradient steps, the supports of the ten
-    best rows (weights above 1e-3, 1e-6 and 1e-9 of the row's largest) are
-    polished by Newton.  The ascent stops as soon as a polished point is
-    certified (quotient residual <= ``_CERTIFIED``) and nothing found beats
-    it by more than ``_TIE``.  Otherwise it runs until no row gains
-    ``STALL_TOL`` for 20 steps or ``MAX_ITERATIONS`` steps have run, and
-    returns the best polished point if it beats every row, else the best
-    row.
+    ``maximize`` passes the uniform weighting on vertices and the
+    ``cfg.restarts`` Dirichlet(1) points; ``_solve_support`` passes the
+    uniform point of a support to re-seed a saddle.  Every ``CHUNK``
+    steps, the supports of the ten best rows (weights above 1e-3, 1e-6
+    and 1e-9 of the row's largest) are polished by Newton.  The ascent
+    stops as soon as a polished point is certified (quotient residual <=
+    ``_CERTIFIED``) and nothing found beats it by more than ``_TIE``.
+    Otherwise it runs until no row gains ``STALL_TOL`` for 20 steps or
+    ``MAX_ITERATIONS`` steps have run, and returns the best polished point
+    if it beats every row, else the best row.
     """
     k = T.n
-    rng = np.random.default_rng(cfg.seed)
-    start = sizes / sizes.sum()
-    X = np.vstack([start[None, :], rng.dirichlet(np.ones(k), size=cfg.restarts)])
     eta = np.full(len(X), 1.0)
     val = T.value(X)
     polished_val, polished_z = -math.inf, None
@@ -685,9 +654,10 @@ def _multistart(T: _Terms, sizes, cfg: SolverConfig):
                 attempts[key] = val[row]
                 z0 = z[S] / z[S].sum()
                 S, Ts = _restrict(T, S)
-                p, fnorm = _newton_on_support(Ts, S, k, x0=z0)
-                if p is None or fnorm > 1e-6:
+                run = _newton_on_support(Ts, S, k, x0=z0)
+                if run.label != "resolved":
                     continue
+                p = run[0]
                 v = float(T.value(p[None, :])[0])
                 if v > polished_val:
                     polished_val, polished_z = v, p
@@ -709,16 +679,16 @@ def _multistart(T: _Terms, sizes, cfg: SolverConfig):
         val = np.where(acc, vy, val)
         eta = np.where(acc, np.minimum(eta * 1.3, 1e6), eta * 0.5)
         if step % CHUNK == 0 and polish():
-            return certified_z, cfg.restarts
+            return certified_z
         stall = stall + 1 if improvement < STALL_TOL else 0
         if stall >= 20:
             break
     if step % CHUNK and polish():
-        return certified_z, cfg.restarts
+        return certified_z
     top = int(np.argmax(val))
     if polished_val > val[top]:
-        return polished_z, cfg.restarts
-    return X[top], cfg.restarts
+        return polished_z
+    return X[top]
 
 
 def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult:
@@ -746,7 +716,10 @@ def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     if method == "support-enum":
         z, used = _support_enum(G, T, sizes, prefix_only)
     else:
-        z, used = _multistart(T, sizes, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        starts = rng.dirichlet(np.ones(len(sizes)), size=cfg.restarts)
+        z = _multistart(T, np.vstack([sizes / sizes.sum(), starts]))
+        used = cfg.restarts
     x = z[of] / sizes[of]
     x = np.clip(x, 0.0, None)
     x[x < _CLAMP * x.max()] = 0.0

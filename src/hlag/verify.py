@@ -271,6 +271,8 @@ def verify_theorem(
     """
     if n_min > n_max:
         raise ValueError("empty n range")
+    if n_min < 4:
+        raise ValueError(f"the theorem suite needs n_min >= 4, got {n_min}")
     rows = []
     results = []
     violations = []

@@ -335,6 +335,7 @@ def test_verify_theorem_rows_are_pinned(capsys, tmp_path, n):
     "argv, message",
     [
         ("verify --suite theorem --n-min 9 --n-max 4", "empty n range"),
+        ("verify --suite theorem --n-min 3 --n-max 3", "theorem suite needs n_min >= 4, got 3"),
         ("verify --suite theorem --n-max 5 --jobs 0", "jobs must be >= 1"),
         ("search --n 6 --jobs -3", "jobs must be >= 1"),
         ("verify --suite cases --n-min 8 --n-max 8 --jobs 0", "jobs must be >= 1"),

@@ -108,6 +108,15 @@ def test_theorem_rejects_an_empty_n_range():
         verify_theorem(n_max=4, n_min=9)
 
 
+def test_theorem_rejects_n_below_four_before_any_search(monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr("hlag.verify.extremal_lambda_search", search)
+    with pytest.raises(ValueError, match="theorem suite needs n_min >= 4, got 3"):
+        verify_theorem(n_max=3, n_min=3)
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_theorem_rejects_jobs_below_one(jobs):
     with pytest.raises(ValueError, match="jobs must be >= 1"):
