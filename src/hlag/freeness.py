@@ -28,7 +28,9 @@ ENUM_GUARD_N = 9
 HOM_GUARD_N = 10
 
 # Only the extremal search solves, so numpy loads with its first call.
-__getattr__ = _lazy(globals(), {"SolverConfig": "solver", "maximize": "solver"})
+__getattr__ = _lazy(globals(), {
+    "SolverConfig": "solver", "_degree_runs": "solver", "_solve_quotient": "solver",
+})
 
 
 @dataclass(frozen=True)
@@ -446,10 +448,13 @@ class SearchResult:
 
 
 def _eval_family(args):
-    edges, n, r, seed = args
-    G = Hypergraph(r, n, frozenset(edges))
-    res = maximize(G, SolverConfig(seed=seed))
-    return edges, res.value
+    """(edges, lambda) of one walked family, given as its lex-sorted edge
+    tuple: the family is left-compressed, so its classes are its runs of
+    equal degree and prefix support enumeration solves it exactly."""
+    edges, n, r, cfg = args
+    classes = _degree_runs(edges, n)
+    value, _, _ = _solve_quotient(edges, n, r, classes, "support-enum", True, cfg)
+    return edges, value
 
 
 def extremal_lambda_search(
@@ -463,7 +468,11 @@ def extremal_lambda_search(
     """Maximize lambda over all left-compressed free graphs on [n].
 
     Only maximal families are evaluated: lambda is monotone under
-    subgraphs, so the maximum is attained on a maximal family.
+    subgraphs, so the maximum is attained on a maximal family.  Each goes
+    to the solver as its class quotient, with no vertex-level graph: the
+    walk builds only left-compressed families (Talbot, CPC 2002), so the
+    value is what ``maximize`` gives under ``SolverConfig(seed=seed)``,
+    bit for bit, without its left-compression test or KKT residual.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -476,9 +485,10 @@ def extremal_lambda_search(
             to_eval.append(tuple(sorted(table.edge_set(present))))
     to_eval.sort()
 
-    args = [(edges, n, r, seed) for edges in to_eval]
     # bound before any fork, so each worker calls the same (maybe wrapped) solver
-    _bind(__name__, "SolverConfig", "maximize")
+    _bind(__name__, "SolverConfig", "_degree_runs", "_solve_quotient")
+    cfg = SolverConfig(seed=seed)
+    args = [(edges, n, r, cfg) for edges in to_eval]
     if jobs > 1 and len(args) > 1:
         import multiprocessing  # only a forking call pays for the import
 

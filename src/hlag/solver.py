@@ -28,19 +28,25 @@ averaging their weights never lowers the value (the symmetrization of
 Frankl and Rodl), and some optimum is constant on every class.  With mass
 z_c on class c and x_v = z_c / |c|, the Lagrangian is a weighted sum of
 monomials in z over the edges' sorted class tuples; the solve runs on that
-quotient and the answer is lifted back to vertices.
+quotient and the answer is lifted back to vertices.  ``_solve_quotient`` is
+that solve, from a lex-sorted edge list and its classes, and it reads the
+value by class, which is ``evaluate`` at the lifted weighting bit for bit.
+``maximize`` feeds it any graph; the extremal search feeds it each walked
+family, with no vertex-level graph.
 
 A left-compressed graph has an optimum that is non-increasing in the label
 (Talbot, CPC 2002): swapping the weights of i < j with x_i < x_j never
 lowers the value when L(j\\i) is empty, and it keeps the support size, so
 a minimal-support optimum, which covers all its pairs, sorts into one on a
-prefix [k].  Its classes are label intervals, so averaging over them keeps
-the weights non-increasing and makes the support a prefix of the classes
-in label order, one that passes the pair filter of support enumeration.
+prefix [k].  Its classes are label intervals, the runs of equal degree
+(``_degree_runs``), so averaging over them keeps the weights
+non-increasing and makes the support a prefix of the classes in label
+order, one that passes the pair filter of support enumeration.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -203,9 +209,11 @@ def _classes(G: Hypergraph, intervals: bool = False) -> tuple:
     i and j are mirrored iff they have equal degree and every edge through
     i but not j has its mirror (i swapped for j) among the edges through
     j, since the mirror map is then a bijection between the two sides.
-    With ``intervals`` (G is left-compressed, so its classes are label
-    intervals) only the n - 1 pairs (i, i + 1) are tested.
+    With ``intervals`` (G is left-compressed) the classes are the runs of
+    equal degree, ``_degree_runs``.
     """
+    if intervals:
+        return _degree_runs(G.edges, G.n)
     through = [set() for _ in range(G.n + 1)]
     for e in G.edges:
         for v in e:
@@ -229,11 +237,7 @@ def _classes(G: Hypergraph, intervals: bool = False) -> tuple:
             a = parent[a]
         return a
 
-    if intervals:
-        pairs = ((i, i + 1) for i in range(1, G.n))
-    else:
-        pairs = itertools.combinations(range(1, G.n + 1), 2)
-    for i, j in pairs:
+    for i, j in itertools.combinations(range(1, G.n + 1), 2):
         if find(i) != find(j) and mirrored(i, j):
             parent[find(j)] = find(i)
     classes = {}
@@ -242,30 +246,56 @@ def _classes(G: Hypergraph, intervals: bool = False) -> tuple:
     return tuple(tuple(members) for members in classes.values())
 
 
-def _quotient(G: Hypergraph, classes):
-    """The Lagrangian as a polynomial in class masses z_c = sum_{v in c} x_v.
+def _degree_runs(edges, n) -> tuple:
+    """The classes of a left-compressed r-graph with these edges on [n]:
+    its maximal runs of consecutive labels with equal degree.
+
+    Replacing i + 1 by i maps the edges through i + 1 but not i
+    injectively into the edges through i but not i + 1, which left
+    compression keeps in the graph.  So i and i + 1 have mirrored links iff
+    that map is onto, iff their degrees are equal; and the classes are
+    label intervals (see the module docstring).
+    """
+    degree = collections.Counter(itertools.chain.from_iterable(edges))
+    return tuple(
+        tuple(run)
+        for _, run in itertools.groupby(range(1, n + 1), key=degree.__getitem__)
+    )
+
+
+def _quotient(edges, n, r, classes):
+    """The Lagrangian of the r-graph with the lex-sorted ``edges`` on [n]
+    as a polynomial in class masses z_c = sum_{v in c} x_v.
 
     Each edge maps to the sorted tuple of its vertices' class indices, and
     equal tuples merge into one term of weight count / prod_c |c|^k_c, so
     the quotient at z equals lambda(G) at x_v = z_c / |c|.  Returns the
-    term array, the weights, the class sizes and each vertex's class
-    index.  With singleton classes the terms are ``edge_list()`` in order
-    with weight 1.0.
+    term array, the weights, the class sizes, each vertex's class index,
+    and how often each label-ordered class tuple (an edge's class indices
+    in the order of its vertices) occurs.  With singleton classes the terms
+    are the edges in order with weight 1.0.
     """
-    of = [0] * G.n
+    label = [0] * (n + 1)
     for c, members in enumerate(classes):
         for v in members:
-            of[v - 1] = c
-    sizes = [len(members) for members in classes]
+            label[v] = c
+    ordered = collections.Counter(
+        tuple(map(label.__getitem__, e)) for e in edges
+    )
+    # each sorted tuple enters ``counts`` in the order of its first edge,
+    # as when the edges are read one by one: that edge's ordered tuple
+    # entered ``ordered`` before those first met at later edges
     counts = {}
-    for e in G.edge_list():
-        key = tuple(sorted(of[v - 1] for v in e))
-        counts[key] = counts.get(key, 0) + 1
-    E = np.asarray(list(counts), dtype=np.int64).reshape(-1, G.r)
+    for key, cnt in ordered.items():
+        key = tuple(sorted(key))
+        counts[key] = counts.get(key, 0) + cnt
+    sizes = [len(members) for members in classes]
+    E = np.asarray(list(counts), dtype=np.int64).reshape(-1, r)
     w = np.array(
         [cnt / math.prod(sizes[c] for c in key) for key, cnt in counts.items()]
     )
-    return E, w, np.asarray(sizes, dtype=float), np.asarray(of, dtype=np.int64)
+    of = np.asarray(label[1:], dtype=np.int64)
+    return E, w, np.asarray(sizes, dtype=float), of, ordered
 
 
 @functools.lru_cache(maxsize=None)
@@ -531,12 +561,12 @@ def _solve_support(T: _Terms, Ts: _Terms, S, k: int) -> _NewtonRun:
     return retry if better else run
 
 
-def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
-    """Exact enumeration of class supports; returns (class masses, supports
-    tried).
+def _support_enum(r: int, T: _Terms, sizes, prefix_only: bool):
+    """Exact enumeration of class supports of the quotient T of an r-graph;
+    returns (class masses, supports tried).
 
     A support is tried only when every pair of its classes shares a term
-    and, when ``prefix_only`` (G is left-compressed), when it is a prefix
+    and, when ``prefix_only`` (the graph is left-compressed), when it is a prefix
     of the classes in label order (see the module docstring), so at most
     k supports are tried.  Otherwise all 2**k - 1 class subsets are
     candidates, and more than ``ENUM_CLASSES`` classes are refused.  Each
@@ -572,7 +602,7 @@ def _support_enum(G: Hypergraph, T: _Terms, sizes, prefix_only: bool):
     tried = 0
     for smask in sorted(masks, key=lambda m: -vertices[m]):
         s = vertices[smask]
-        if _lambda_complete(s, G.r) < top - 1e-9:
+        if _lambda_complete(s, r) < top - 1e-9:
             break  # s only falls from here, and the bound with it
         inside = [terms[i] for i, tm in enumerate(tmasks) if tm & ~smask == 0]
         if not inside:
@@ -691,11 +721,51 @@ def _multistart(T: _Terms, X: np.ndarray):
     return X[top]
 
 
+def _solve_quotient(edges, n, r, classes, method, prefix_only, cfg):
+    """Solve lambda of the r-graph with the lex-sorted ``edges`` on [n] on
+    its quotient by ``classes`` (vertices with mirrored links, see
+    ``_quotient``); returns (value, weighting as an array over [n], supports
+    tried or restarts drawn).
+
+    ``method`` is ``support-enum``, prefix supports only when
+    ``prefix_only`` (the caller knows the graph is left-compressed), or
+    ``multistart-ascent`` from the uniform point and ``cfg.restarts``
+    Dirichlet starts drawn from ``cfg.seed``.  The class masses z are
+    lifted to x_v = z_c / |c|, clipped at 0, with weights below ``_CLAMP``
+    of the largest set to 0, and normalised.  The weighting is constant on
+    classes, so every edge's product of weights in label order is the
+    product of its classes' weights in the same order: the value, a
+    ``math.fsum`` over the label-ordered class tuples each repeated by its
+    count, is ``evaluate`` at the weighting bit for bit.
+    """
+    E, w, sizes, of, ordered = _quotient(edges, n, r, classes)
+    T = _Terms(E, w, len(sizes))
+    if method == "support-enum":
+        z, used = _support_enum(r, T, sizes, prefix_only)
+    else:
+        rng = np.random.default_rng(cfg.seed)
+        starts = rng.dirichlet(np.ones(len(sizes)), size=cfg.restarts)
+        z = _multistart(T, np.vstack([sizes / sizes.sum(), starts]))
+        used = cfg.restarts
+    x = z[of] / sizes[of]
+    x = np.clip(x, 0.0, None)
+    x[x < _CLAMP * x.max()] = 0.0
+    x = x / x.sum()
+    y = np.empty(len(sizes))
+    y[of] = x
+    y = y.tolist()
+    value = math.fsum(itertools.chain.from_iterable(
+        itertools.repeat(math.prod(y[c] for c in key), cnt)
+        for key, cnt in ordered.items()
+    ))
+    return value, x, used
+
+
 def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult:
     """Best found Lagrangian value with its weighting and KKT certificate.
 
-    The solve runs on the classes of vertices with mirrored links, so the
-    weighting is constant on each class.
+    The solve runs on the classes of vertices with mirrored links
+    (``_solve_quotient``), so the weighting is constant on each class.
     """
     cfg = cfg or SolverConfig()
     method = cfg.method
@@ -711,21 +781,11 @@ def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
     if method == "auto":
         exact = G.n <= 8 or prefix_only
         method = "support-enum" if exact else "multistart-ascent"
-    E, w, sizes, of = _quotient(G, _classes(G, intervals=prefix_only))
-    T = _Terms(E, w, len(sizes))
-    if method == "support-enum":
-        z, used = _support_enum(G, T, sizes, prefix_only)
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        starts = rng.dirichlet(np.ones(len(sizes)), size=cfg.restarts)
-        z = _multistart(T, np.vstack([sizes / sizes.sum(), starts]))
-        used = cfg.restarts
-    x = z[of] / sizes[of]
-    x = np.clip(x, 0.0, None)
-    x[x < _CLAMP * x.max()] = 0.0
-    x = x / x.sum()
-    weighting = tuple(float(v) for v in x)
-    value = evaluate(G, weighting)
+    value, x, used = _solve_quotient(
+        G.edge_list(), G.n, G.r, _classes(G, intervals=prefix_only),
+        method, prefix_only, cfg,
+    )
+    weighting = tuple(x.tolist())
     support = tuple(i + 1 for i in range(G.n) if weighting[i] > 0.0)
     residual = kkt_residual(G, weighting, value)
     return LagrangianResult(value, weighting, support, residual, method, used, cfg.seed)

@@ -1,7 +1,12 @@
 import argparse
 import ast
+import gc
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -356,3 +361,64 @@ def test_out_of_range_values_exit_2(capsys, tmp_path, argv, message):
     assert out == ""
     assert message in err
     assert [p.name for p in tmp_path.iterdir()] == ["g.hg"]
+
+
+_SRC = str(Path(hlag.__file__).resolve().parent.parent)
+
+
+def _in_fresh_process(argv, cwd):
+    """Run ``argv`` in a new interpreter that imports this checkout's hlag;
+    returns (exit code, stdout)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd
+    )
+    return proc.returncode, proc.stdout
+
+
+def _files(path):
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["search", "--n", "8", "--format", "json", "--witness-dir", "w"], 0),
+    (["search", "--n", "7", "--t", "0", "--witness-dir", "w"], 2),
+], ids=["search", "usage-error"])
+def test_python_m_hlag_matches_in_process_main(capsys, monkeypatch, tmp_path, argv, code):
+    # the process entry point adds nothing to what main() prints or writes
+    inside, fresh = tmp_path / "inside", tmp_path / "fresh"
+    for d in (inside, fresh):
+        (d / "w").mkdir(parents=True)
+    fresh_result = _in_fresh_process(["-m", "hlag", *argv], fresh)
+    assert fresh_result[0] == code
+    monkeypatch.chdir(inside)
+    frozen = gc.get_freeze_count()
+    assert run(capsys, *argv)[:2] == fresh_result
+    assert _files(inside / "w") == _files(fresh / "w")
+    assert bool(_files(inside / "w")) == (code == 0)
+    # in-process callers keep their collector as it was
+    assert gc.get_freeze_count() == frozen
+
+
+_RUN_AS_MAIN = """
+import gc, runpy, sys
+sys.argv[0] = "hlag"
+try:
+    runpy.run_module("hlag", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count() > 0)
+"""
+
+
+def test_both_process_entry_points_return_through_run(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(_SRC).parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["hlag"]
+    module, _, name = target.partition(":")
+    run_entry = importlib.import_module("hlag.__main__").run
+    assert getattr(importlib.import_module(module), name) is run_entry
+    # python -m hlag runs the package's __main__ as a script, which exits
+    # with run()'s code once run() has frozen the heap
+    out = _in_fresh_process(["-c", _RUN_AS_MAIN, "family", "--name", "star", "--n", "5"], tmp_path)[1]
+    assert out.splitlines()[-1] == "0 True"

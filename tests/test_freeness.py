@@ -366,3 +366,31 @@ def test_search_pool_is_capped_at_the_family_count(monkeypatch, jobs, processes)
     assert requested == [processes]
     assert res.evaluated == 72
     assert res == extremal_lambda_search(8, 4, 2)
+
+
+def test_search_does_no_vertex_level_work(monkeypatch):
+    # each family goes to the solver as its class quotient: no per-family
+    # graph, left-compression test, vertex-level value or KKT residual;
+    # the two graphs built are the witnesses
+    import hlag.solver
+
+    calls = {"kkt_residual": 0, "evaluate": 0, "is_left_compressed": 0, "Hypergraph": 0}
+    for name in ("kkt_residual", "evaluate", "is_left_compressed"):
+        real = getattr(hlag.solver, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(hlag.solver, name, counted)
+    post_init = Hypergraph.__post_init__
+
+    def counted_post_init(self):
+        calls["Hypergraph"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Hypergraph, "__post_init__", counted_post_init)
+    res = extremal_lambda_search(8, 4, 2)
+    assert res.evaluated == 72
+    assert calls.pop("Hypergraph") <= 2
+    assert calls == {"kkt_residual": 0, "evaluate": 0, "is_left_compressed": 0}

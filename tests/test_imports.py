@@ -109,7 +109,7 @@ BOUND_NAMES = {
         "symmetrize", "audit", "min_sigma_partition", "dense_and_compress",
         "verify_theorem", "verify_cases", "load_graph", "main",
     ),
-    hlag.freeness: ("maximize",),
+    hlag.freeness: ("_solve_quotient",),
 }
 
 
@@ -150,14 +150,14 @@ import hlag.freeness as freeness
 jobs = int(sys.argv[1])
 # first call: nothing has bound the solver in this process yet
 plain = freeness.extremal_lambda_search(8, 4, 2, jobs=jobs)
-real = freeness.maximize
+real = freeness._solve_quotient
 log = os.open(sys.argv[2], os.O_WRONLY | os.O_APPEND | os.O_CREAT)
 
 def counting(*args, **kwargs):
     os.write(log, b".")  # pool workers write to the same file
     return real(*args, **kwargs)
 
-freeness.maximize = counting
+freeness._solve_quotient = counting
 counted = freeness.extremal_lambda_search(8, 4, 2, jobs=jobs)
 print(plain == counted, counted.evaluated)
 """

@@ -33,12 +33,14 @@ from hlag.solver import (
     SolverConfig,
     _classes,
     _covered_within,
+    _degree_runs,
     _lambda_complete,
     _newton_on_support,
     _NewtonRun,
     _quotient,
     _quotient_residual,
     _restrict,
+    _solve_quotient,
     _tangent_ascent_exists,
     _Terms,
     densify,
@@ -184,7 +186,8 @@ def test_prefix_supports_change_no_answer_at_n8(monkeypatch):
 def test_theorem_suite_support_count(monkeypatch):
     # every family solve for n <= 8 and the star in each row is by support
     # enumeration; before the prefix rule they tried 1,111 supports, and
-    # 206 before the complete-graph bound
+    # 206 before the complete-graph bound.  The search hands its families
+    # to ``_solve_quotient``, and the rows' stars go to ``maximize``
     seen = []
 
     def counting(G, cfg=None):
@@ -193,7 +196,12 @@ def test_theorem_suite_support_count(monkeypatch):
             seen.append(res.restarts_used)
         return res
 
-    monkeypatch.setattr("hlag.freeness.maximize", counting)
+    def counting_quotient(edges, n, r, classes, method, prefix_only, cfg):
+        solved = _solve_quotient(edges, n, r, classes, method, prefix_only, cfg)
+        seen.append(solved[2])
+        return solved
+
+    monkeypatch.setattr("hlag.freeness._solve_quotient", counting_quotient)
     monkeypatch.setattr("hlag.verify.maximize", counting)
     assert verify_theorem(n_min=4, n_max=8).passed
     assert (len(seen), sum(seen)) == (81, 121)
@@ -289,7 +297,7 @@ def _star_stall():
     """The two-class quotient 0.08 z0 z1^3 of star(6, 4), restricted to
     both classes."""
     G = star(6, 4)
-    E, w, sizes, _ = _quotient(G, _classes(G))
+    E, w, sizes, _, _ = _quotient(G.edge_list(), G.n, G.r, _classes(G))
     assert E.tolist() == [[0, 1, 1, 1]] and w.tolist() == [0.08]
     return _restrict(_Terms(E, w, len(sizes)), [0, 1])
 
@@ -364,7 +372,7 @@ def test_degree_retry_decides_the_star():
     assert res.value - evaluate(star(6, 4), [1 / 6] * 6) > 7e-4
 
 
-def _support_enum_reference(G, T, sizes, prefix_only, retry_on_boundary=False):
+def _support_enum_reference(r, T, sizes, prefix_only, retry_on_boundary=False):
     """``_support_enum`` before the complete-graph bound: every candidate
     support is solved, in mask order, by Newton from its uniform point and
     at most one retry: from the degree-weighted seed after an ``interior``
@@ -691,17 +699,44 @@ def test_classes_of_left_compressed_graphs_are_label_intervals():
         assert sum(_classes(G), ()) == tuple(G.vertices)
 
 
+def _left_compressed_named_graphs():
+    """The left-compressed case families at n = 8..14, and star(n, 4) and
+    complete(n, 4) for n = 4..15."""
+    graphs = [case_family(k, n) for k in range(1, 15) for n in range(8, 15)]
+    graphs = [G for G in graphs if is_left_compressed(G)]
+    assert len(graphs) == 13 * 7
+    return graphs + [f(n, 4) for f in (star, complete) for n in range(4, 16)]
+
+
 def test_adjacent_pairs_find_the_classes_of_left_compressed_graphs():
-    # the classes are label intervals, so on a left-compressed graph the
-    # n - 1 tests of (i, i + 1) find the classes that all pairs find
-    walked = 0
-    for n in range(4, 9):
+    # on a left-compressed graph, replacing i + 1 by i maps the edges
+    # through i + 1 but not i injectively into those through i but not
+    # i + 1, so i and i + 1 are mirrored iff their degrees are equal: the
+    # classes are the runs of equal degree that all pairs find
+    checked = 0
+    for n in range(4, 10):
         table = _walk_table(n, 4, 2, None)
         for present, _ in _walk(table, 2):
-            G = Hypergraph(4, n, frozenset(table.edge_set(present)))
-            assert _classes(G, intervals=True) == _classes(G), G
-            walked += 1
-    assert walked == 4370
+            edges = table.edge_set(present)
+            G = Hypergraph(4, n, frozenset(edges))
+            assert _degree_runs(edges, n) == _classes(G, intervals=True) == _classes(G), G
+            checked += 1
+    for G in _left_compressed_named_graphs():
+        assert _classes(G, intervals=True) == _classes(G), G
+        checked += 1
+    assert checked == 4370 + 37145 + 91 + 24
+
+
+def test_equal_degrees_are_not_classes_off_left_compressed_graphs():
+    # two disjoint edges: every vertex has degree 1, yet 1 and 2 are not
+    # mirrored, so the degree-run rule would merge all eight vertices and
+    # read 2/8**4 for lambda; maximize tests all pairs, as it must
+    G = Hypergraph(4, 8, frozenset([(1, 3, 4, 5), (2, 6, 7, 8)]))
+    assert not is_left_compressed(G)
+    assert _classes(G, intervals=True) == (tuple(range(1, 9)),)
+    assert _classes(G) == ((1, 3, 4, 5), (2, 6, 7, 8))
+    for method in ("auto", "support-enum", "multistart-ascent"):
+        assert maximize(G, SolverConfig(method=method)).value == 1 / 256, method
 
 
 def test_reversed_labels_get_full_enumeration(monkeypatch):
@@ -791,7 +826,7 @@ def test_quotient_matches_vertex_value_and_gradient():
     for G in (case_family(5, 11), split(9, 4), blowup(k53minus2(), (3, 1, 2, 1, 2))):
         classes = _classes(G)
         assert any(len(c) > 1 for c in classes)
-        E, w, sizes, of = _quotient(G, classes)
+        E, w, sizes, of, _ = _quotient(G.edge_list(), G.n, G.r, classes)
         T = _Terms(E, w, len(classes))
         for _ in range(5):
             z = rng.dirichlet(np.ones(len(classes)))
@@ -803,6 +838,60 @@ def test_quotient_matches_vertex_value_and_gradient():
             assert [float(gz[c]) for c in of] == pytest.approx(
                 gradient(G, x), abs=1e-14
             )
+
+
+def _random_graphs(count):
+    """``count`` seeded random r-graphs, r in {3, 4, 5}, on at most 10
+    vertices, relabeled at random; every other one is a blow-up by parts
+    of one or two vertices, so many have classes that are not label
+    intervals."""
+    rng = random.Random("value-by-class")
+    for i in range(count):
+        r = 3 + i % 3
+        if i % 2:
+            base = rng.randint(r, 7)
+            sizes = [rng.randint(1, 2) for _ in range(base)]
+            while sum(sizes) > 10:
+                sizes[sizes.index(2)] = 1
+        else:
+            base, sizes = rng.randint(r, 10), None
+        tuples = list(itertools.combinations(range(1, base + 1), r))
+        G = Hypergraph(r, base, frozenset(rng.sample(tuples, rng.randint(1, len(tuples)))))
+        if sizes is not None:
+            G = blowup(G, sizes)
+        perm = list(range(1, G.n + 1))
+        rng.shuffle(perm)
+        yield _relabeled(G, perm)
+
+
+def test_value_by_class_is_evaluate_bit_for_bit(monkeypatch):
+    # the weighting is constant on classes, so each edge's product in label
+    # order is its classes' product in that order, and fsum adds the same
+    # numbers; the search's values, read off ``_solve_quotient``, too
+    searched = {}
+    solve = hlag.solver._solve_quotient
+
+    def recording(edges, n, r, classes, method, prefix_only, cfg):
+        solved = solve(edges, n, r, classes, method, prefix_only, cfg)
+        searched[Hypergraph(r, n, frozenset(edges))] = solved[0]
+        return solved
+
+    monkeypatch.setattr("hlag.freeness._solve_quotient", recording)
+    for r, ns in ((4, range(4, 10)), (3, range(3, 8))):
+        for n in ns:
+            hlag.freeness.extremal_lambda_search(n, r, 2)
+    assert sum(G.r == 4 for G in searched) == 148
+    for G, value in searched.items():
+        res = maximize(G)
+        assert value == res.value == evaluate(G, res.weighting), G
+    graphs = _left_compressed_named_graphs()
+    randoms = list(_random_graphs(600))
+    assert sum(sum(_classes(G), ()) != tuple(G.vertices) for G in randoms) >= 200
+    solves = [(G, SolverConfig()) for G in graphs + randoms]
+    solves += [(G, SolverConfig(method="multistart-ascent")) for G in randoms]
+    for G, cfg in solves:
+        res = maximize(G, cfg)
+        assert res.value == evaluate(G, res.weighting), (G, cfg.method)
 
 
 def test_lambda_matching_support_is_one_edge():
