@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Every subcommand accepts --format after its name; those with randomness
-take --seed, the searching ones --jobs.  Seeded runs are byte-identical.
+take --seed.  Seeded runs are byte-identical.  ``search`` and ``verify``
+run serially and accept only --jobs 1.
 Exit codes: 0 success, 1 witness or violation found or an iteration bound
 reached, 2 usage or input error.
 
@@ -191,9 +192,7 @@ def cmd_free(args) -> int:
 def cmd_search(args) -> int:
     _bind(__name__, "extremal_lambda_search", "emit_hg")
     guard = args.n if args.unsafe_size else None
-    sr = extremal_lambda_search(
-        args.n, args.r, args.t, jobs=args.jobs, seed=args.seed, guard=guard
-    )
+    sr = extremal_lambda_search(args.n, args.r, args.t, guard=guard)
     os.makedirs(args.witness_dir, exist_ok=True)
     wpath = os.path.join(args.witness_dir, f"search-n{sr.n}-max.hg")
     with open(wpath, "w", encoding="utf-8") as fh:
@@ -332,10 +331,6 @@ def _render_rows(rows) -> int:
 def cmd_verify(args) -> int:
     _bind(__name__, "verify_cases", "verify_theorem", "emit_hg")
     if args.suite == "cases":
-        # the case table runs serially, but a bad --jobs is still an error,
-        # as it is for the theorem suite
-        if args.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         n_min = args.n_min if args.n_min is not None else 8
         n_max = args.n_max if args.n_max is not None else 14
         rows = verify_cases(range(n_min, n_max + 1), seed=args.seed)
@@ -350,8 +345,6 @@ def cmd_verify(args) -> int:
     summary = verify_theorem(
         n_max=n_max,
         n_min=n_min,
-        jobs=args.jobs,
-        seed=args.seed,
         guard=n_max if args.unsafe_size else None,
     )
     os.makedirs(args.witness_dir, exist_ok=True)
@@ -413,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=1)
+    jobs.add_argument("--jobs", type=int, choices=(1,), default=1,
+                      help="the only value is 1: every run is serial")
 
     parser = argparse.ArgumentParser(
         prog="hlag",
@@ -458,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None)
     p.set_defaults(func=cmd_free)
 
-    p = sub.add_parser("search", parents=[fmt, seed, jobs], help="exhaustive extremal search")
+    p = sub.add_parser("search", parents=[fmt, jobs], help="exhaustive extremal search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=4)
     p.add_argument("--t", type=int, default=2)
@@ -479,8 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("verify", parents=[fmt, seed, jobs], help="verification suites")
+    p = sub.add_parser("verify", parents=[fmt, jobs], help="verification suites")
     p.add_argument("--suite", choices=("cases", "theorem"), required=True)
+    p.add_argument("--seed", type=int, default=0, help="read by --suite cases only")
     p.add_argument("--n-min", type=int, default=None,
                    help="default 8 for cases, 4 for theorem")
     p.add_argument("--n-max", type=int, default=None,

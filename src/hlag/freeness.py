@@ -414,6 +414,8 @@ def enumerate_left_compressed_free(n, r, t, guard: int | None = None):
     Graphs are produced as edge frozensets exactly once, by branching over
     edges in colex order; an edge may enter only when all its
     single-replacement predecessors are present and no t-matching appears.
+    This is the public generator; ``extremal_lambda_search`` reads ``_walk``
+    directly and builds edge sets only for maximal families.
     """
     table = _walk_table(n, r, t, guard)
     for present, _ in _walk(table, t):
@@ -447,35 +449,17 @@ class SearchResult:
     nonstar_witness: Hypergraph | None
 
 
-def _eval_family(args):
-    """(edges, lambda) of one walked family, given as its lex-sorted edge
-    tuple: the family is left-compressed, so its classes are its runs of
-    equal degree and prefix support enumeration solves it exactly."""
-    edges, n, r, cfg = args
-    classes = _degree_runs(edges, n)
-    value, _, _ = _solve_quotient(edges, n, r, classes, "support-enum", True, cfg)
-    return edges, value
-
-
-def extremal_lambda_search(
-    n,
-    r,
-    t,
-    jobs: int = 1,
-    seed: int = 0,
-    guard: int | None = None,
-) -> SearchResult:
+def extremal_lambda_search(n, r, t, guard: int | None = None) -> SearchResult:
     """Maximize lambda over all left-compressed free graphs on [n].
 
     Only maximal families are evaluated: lambda is monotone under
     subgraphs, so the maximum is attained on a maximal family.  Each goes
     to the solver as its class quotient, with no vertex-level graph: the
-    walk builds only left-compressed families (Talbot, CPC 2002), so the
-    value is what ``maximize`` gives under ``SolverConfig(seed=seed)``,
-    bit for bit, without its left-compression test or KKT residual.
+    walk builds only left-compressed families (Talbot, CPC 2002), so its
+    classes are its runs of equal degree, and the value is what
+    ``maximize`` gives under the default ``SolverConfig()``, bit for bit,
+    without its left-compression test or KKT residual.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     table = _walk_table(n, r, t, guard)
     families = 0
     to_eval = []
@@ -485,33 +469,20 @@ def extremal_lambda_search(
             to_eval.append(tuple(sorted(table.edge_set(present))))
     to_eval.sort()
 
-    # bound before any fork, so each worker calls the same (maybe wrapped) solver
+    # module __getattr__ serves attribute reads, not global lookups, so the
+    # solver names are bound here (a tracer's wrapper, if any, included)
     _bind(__name__, "SolverConfig", "_degree_runs", "_solve_quotient")
-    cfg = SolverConfig(seed=seed)
-    args = [(edges, n, r, cfg) for edges in to_eval]
-    if jobs > 1 and len(args) > 1:
-        import multiprocessing  # only a forking call pays for the import
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(jobs, len(args))) as pool:
-            results = pool.map(_eval_family, args, chunksize=4)
-    else:
-        results = [_eval_family(a) for a in args]
-
+    cfg = SolverConfig()
+    # to_eval is sorted, so within 1e-12 the lex-first family wins
     best = (-1.0, None)
     best_nonstar = (-1.0, None)
-    for edges, value in results:
-        if value > best[0] + 1e-12 or (
-            abs(value - best[0]) <= 1e-12 and best[1] is not None and edges < best[1]
-        ):
+    for edges in to_eval:
+        classes = _degree_runs(edges, n)
+        value, _, _ = _solve_quotient(edges, n, r, classes, "support-enum", True, cfg)
+        if value > best[0] + 1e-12:
             best = (value, edges)
-        if not _is_star_subgraph(edges):
-            if value > best_nonstar[0] + 1e-12 or (
-                abs(value - best_nonstar[0]) <= 1e-12
-                and best_nonstar[1] is not None
-                and edges < best_nonstar[1]
-            ):
-                best_nonstar = (value, edges)
+        if value > best_nonstar[0] + 1e-12 and not _is_star_subgraph(edges):
+            best_nonstar = (value, edges)
 
     if best[1] is None:
         best = (0.0, ())

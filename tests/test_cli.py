@@ -235,8 +235,10 @@ def test_verify_cases_json_is_bare_array(capsys):
 
 
 def test_verify_theorem_passes(capsys, tmp_path):
+    # the benchmark's pinned dichotomy calls pass exactly --jobs 1, so
+    # removing the flag fails here before it fails the benchmark
     code, out, _ = run(capsys, "verify", "--suite", "theorem", "--n-max", "6",
-                       "--jobs", "2", "--witness-dir", str(tmp_path))
+                       "--jobs", "1", "--witness-dir", str(tmp_path))
     assert code == 0
     assert "passed" in out
 
@@ -249,6 +251,26 @@ def test_verify_theorem_rejects_restarts(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --restarts 4" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify --suite theorem --jobs 0", "invalid choice"),
+        ("verify --suite theorem --jobs 2", "invalid choice"),
+        ("search --n 6 --jobs -3", "invalid choice"),
+        ("search --n 6 --seed 5", "unrecognized arguments: --seed 5"),
+    ],
+)
+def test_jobs_and_seed_usage_errors(capsys, tmp_path, argv, message):
+    # every run is serial and the search draws no random number
+    with pytest.raises(SystemExit) as ei:
+        main(argv.split() + ["--witness-dir", str(tmp_path)])
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert not list(tmp_path.iterdir())
 
 
 def test_shared_flags_only_where_read():
@@ -268,7 +290,7 @@ def test_shared_flags_only_where_read():
         "maximize": seeded | {"--graph", "--method", "--restarts"},
         "compress": seeded | {"--graph", "--t"},
         "free": fmt | {"--graph", "--pattern", "--t", "--p"},
-        "search": seeded | {
+        "search": fmt | {
             "--jobs", "--n", "--r", "--t", "--witness-dir", "--unsafe-size",
         },
         "symmetrize": fmt | {"--graph", "--alpha", "--fixed-n", "--trace"},
@@ -341,10 +363,6 @@ def test_verify_theorem_rows_are_pinned(capsys, tmp_path, n):
     [
         ("verify --suite theorem --n-min 9 --n-max 4", "empty n range"),
         ("verify --suite theorem --n-min 3 --n-max 3", "theorem suite needs n_min >= 4, got 3"),
-        ("verify --suite theorem --n-max 5 --jobs 0", "jobs must be >= 1"),
-        ("search --n 6 --jobs -3", "jobs must be >= 1"),
-        ("verify --suite cases --n-min 8 --n-max 8 --jobs 0", "jobs must be >= 1"),
-        ("verify --suite cases --n-min 8 --n-max 8 --jobs -3", "jobs must be >= 1"),
         ("partition --graph SPLIT --restarts 0", "restarts must be >= 1"),
         ("partition --graph SPLIT --restarts -2", "restarts must be >= 1"),
         ("symmetrize --graph SPLIT --alpha 1", "alpha must lie in"),

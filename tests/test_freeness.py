@@ -201,12 +201,6 @@ def test_search_n10_past_the_guard():
     assert res.max_nonstar_value == pytest.approx(5 / 343, abs=1e-9)
 
 
-def test_search_jobs_equivalence():
-    a = extremal_lambda_search(7, 4, 2, jobs=1)
-    b = extremal_lambda_search(7, 4, 2, jobs=4)
-    assert a == b
-
-
 def test_search_all_families_mode():
     # the maximal-only search loses nothing against solving every family
     families = [f for f in enumerate_left_compressed_free(6, 4, 2) if f]
@@ -329,43 +323,6 @@ def test_search_nonstar_sentinel_at_n4():
     res = extremal_lambda_search(4, 4, 2)
     assert res.witness_is_star_subgraph
     assert res.nonstar_witness is None
-
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_search_rejects_jobs_below_one(jobs):
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
-        extremal_lambda_search(6, 4, 2, jobs=jobs)
-
-
-@pytest.mark.parametrize("jobs, processes", [(3, 3), (100, 72)])
-def test_search_pool_is_capped_at_the_family_count(monkeypatch, jobs, processes):
-    # a stand-in fork context records the pool size and maps serially, so
-    # no worker process starts
-    import multiprocessing
-
-    requested = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            requested.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args, chunksize=1):
-            return [fn(a) for a in args]
-
-    class Context:
-        Pool = RecordingPool
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
-    res = extremal_lambda_search(8, 4, 2, jobs=jobs)
-    assert requested == [processes]
-    assert res.evaluated == 72
-    assert res == extremal_lambda_search(8, 4, 2)
 
 
 def test_search_does_no_vertex_level_work(monkeypatch):

@@ -81,7 +81,7 @@ def test_golden_max_parabola():
 
 
 def test_verify_theorem_small():
-    summary = verify_theorem(n_max=6, jobs=2)
+    summary = verify_theorem(n_max=6)
     assert summary.passed
     assert summary.trend_monotone
     assert summary.violations == ()
@@ -95,7 +95,7 @@ def test_verify_theorem_small():
 
 
 def test_verify_theorem_n7_hits_complete():
-    summary = verify_theorem(n_max=7, jobs=4)
+    summary = verify_theorem(n_max=7)
     assert summary.passed
     row = summary.rows[-1]
     assert row.n == 7
@@ -116,8 +116,3 @@ def test_theorem_rejects_n_below_four_before_any_search(monkeypatch):
     with pytest.raises(ValueError, match="theorem suite needs n_min >= 4, got 3"):
         verify_theorem(n_max=3, n_min=3)
 
-
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_theorem_rejects_jobs_below_one(jobs):
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
-        verify_theorem(n_max=5, jobs=jobs)
