@@ -145,9 +145,12 @@ def test_maximize_command_calls_the_bound_solver(monkeypatch, capsys, tmp_path):
 
 
 _SEARCH_CALLS_BOUND_SOLVER = """
+import sys
 import hlag.freeness as freeness
-# first call: nothing has bound the solver in this process yet
-plain = freeness.extremal_lambda_search(8, 4, 2)
+counted_call = int(sys.argv[1])
+if counted_call == 2:
+    # first call: nothing has bound the solver in this process yet
+    plain = freeness.extremal_lambda_search(8, 4, 2)
 real = freeness._solve_quotient
 calls = []
 
@@ -155,15 +158,21 @@ def counting(*args, **kwargs):
     calls.append(1)
     return real(*args, **kwargs)
 
+# with counted_call == 1 the patch precedes the search's own binding
 freeness._solve_quotient = counting
 counted = freeness.extremal_lambda_search(8, 4, 2)
+if counted_call == 1:
+    freeness._solve_quotient = real
+    plain = freeness.extremal_lambda_search(8, 4, 2)
 print(plain == counted, counted.evaluated, len(calls))
 """
 
 
-def test_search_calls_the_bound_solver():
-    # n = 8 has 72 maximal families, each one solver call
-    same, evaluated, calls = _fresh(_SEARCH_CALLS_BOUND_SOLVER).split()
+@pytest.mark.parametrize("counted_call", [1, 2])
+def test_search_calls_the_bound_solver(counted_call):
+    # the counted search is the first or the second in its process; n = 8
+    # has 72 maximal families, each one solver call
+    same, evaluated, calls = _fresh(_SEARCH_CALLS_BOUND_SOLVER, str(counted_call)).split()
     assert same == "True"
     assert int(evaluated) == 72
     assert int(calls) == int(evaluated)
