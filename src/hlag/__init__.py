@@ -53,12 +53,12 @@ _EXPORTS = {
     for submodule, names in (
         ("compression", (
             "CompressionStep", "CompressionTrace", "compress_pair",
-            "dense_and_compress", "is_left_compressed", "potential",
+            "dense_and_compress", "potential",
         )),
         ("core", (
             "Hypergraph", "blowup", "covers_pairs", "degree", "equivalent",
-            "induced", "link", "link_diff", "min_degree", "same_links",
-            "uncovered_pairs",
+            "induced", "is_left_compressed", "link", "link_diff", "min_degree",
+            "same_links", "uncovered_pairs",
         )),
         ("errors", (
             "HgParseError", "HlagError", "NotFreeError", "UnsupportedSizeError",

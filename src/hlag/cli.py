@@ -36,6 +36,7 @@ _LAZY = {
     "is_matching_free": "freeness",
     "emit_hg": "hgio",
     "emit_json": "hgio",
+    "_graph_obj": "hgio",
     "load_graph": "hgio",
     "parse_weights": "hgio",
     "min_sigma_partition": "partition",
@@ -55,10 +56,6 @@ __all__ = ["main"]
 
 def _f(v: float) -> str:
     return format(v, ".17g")
-
-
-def _graph_obj(G):
-    return {"r": G.r, "n": G.n, "edges": [list(e) for e in G.edge_list()]}
 
 
 def _emit_json(obj) -> int:
@@ -118,7 +115,10 @@ def cmd_maximize(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    _bind(__name__, "load_graph", "SolverConfig", "dense_and_compress", "emit_hg")
+    _bind(
+        __name__, "load_graph", "SolverConfig", "dense_and_compress", "emit_hg",
+        "_graph_obj",
+    )
     G = load_graph(args.graph)
     final, res, trace = dense_and_compress(G, args.t, SolverConfig(seed=args.seed))
     if args.format == "json":
@@ -229,7 +229,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_symmetrize(args) -> int:
-    _bind(__name__, "load_graph", "symmetrize", "audit")
+    _bind(__name__, "load_graph", "symmetrize", "audit", "_graph_obj")
     G = load_graph(args.graph)
     trace = symmetrize(G, args.alpha, fixed_n=args.fixed_n)
     report = audit(trace)
@@ -492,10 +492,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HgParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedSizeError as exc:
+    except (HgParseError, UnsupportedSizeError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotFreeError as exc:
@@ -503,12 +500,6 @@ def main(argv=None) -> int:
         if exc.witness is not None:
             print(f"witness: {exc.witness}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RuntimeError as exc:
         # the compression budget or the symmetrization cap ran out
         print(f"error: {exc}", file=sys.stderr)

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Hypergraph, induced, is_left_compressed, link_diff
+from .core import Hypergraph, _relabel, induced, link_diff
 from .errors import NotFreeError
 from .solver import LagrangianResult, SolverConfig, maximize
 
 __all__ = [
     "compress_pair",
-    "is_left_compressed",
     "potential",
     "dense_and_compress",
     "CompressionStep",
@@ -67,11 +66,7 @@ def _relabel_by_weight(G: Hypergraph, x):
     label, so relabeling is deterministic.
     """
     order = sorted(G.vertices, key=lambda v: (-int(round(x[v - 1] * 1e10)), v))
-    newlabel = {v: k for k, v in enumerate(order, start=1)}
-    edges = frozenset(
-        tuple(sorted(newlabel[v] for v in e)) for e in G.edges
-    )
-    return Hypergraph(G.r, G.n, edges)
+    return Hypergraph(G.r, G.n, _relabel(G.edges, order)[0])
 
 
 def _first_compressible(G: Hypergraph):

@@ -7,6 +7,7 @@ tuples; equality of graphs is equality of (r, n, edge set).
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 
@@ -85,6 +86,57 @@ class Hypergraph:
         return f"Hypergraph(r={self.r}, n={self.n}, m={len(self.edges)})"
 
 
+# The set-system primitives every module shares.  They take bare edge
+# collections, not a Hypergraph, so the pointed states of symmetrization
+# and the class-index term rows of the solver use them too.
+
+
+def _degree_table(edges, vertices) -> dict:
+    """Vertex -> the number of ``edges`` through it, for each of
+    ``vertices`` in their order (the edges lie within them)."""
+    table = dict.fromkeys(vertices, 0)
+    table.update(collections.Counter(itertools.chain.from_iterable(edges)))
+    return table
+
+
+def _uncovered(edges, vs) -> list:
+    """The pairs of the sorted vertex sequence ``vs`` that lie together in
+    none of ``edges``, in lexicographic order.
+
+    Each edge, a sorted tuple or a sorted row of class indices that may
+    repeat one, is read only at its members inside ``vs``; an edge that
+    lies inside ``vs`` is used as it is, without a filtering pass.
+    """
+    inside = set(vs)
+    covered = set()
+    for e in edges:
+        if not inside.issuperset(e):
+            e = [v for v in e if v in inside]
+        covered.update(itertools.combinations(e, 2))
+    return [p for p in itertools.combinations(vs, 2) if p not in covered]
+
+
+def _blow(edges, classes) -> frozenset:
+    """The transversal blow-up: each edge becomes every sorted tuple that
+    takes one member of ``classes[v]`` for each of its vertices v."""
+    return frozenset(
+        tuple(sorted(combo))
+        for e in edges
+        for combo in itertools.product(*(classes[v] for v in e))
+    )
+
+
+def _relabel(edges, order):
+    """The edges inside the vertex sequence ``order``, with ``order[k - 1]``
+    renamed k and each edge sorted again, as a frozenset; and the map from
+    old labels to new."""
+    new = {v: k for k, v in enumerate(order, start=1)}
+    keep = set(new)
+    return frozenset(
+        tuple(sorted(map(new.__getitem__, e))) for e in edges if keep.issuperset(e)
+    ), new
+
+
 def degree(G: Hypergraph, v: int) -> int:
     """Number of edges containing v."""
     return sum(1 for e in G.edges if v in e)
@@ -94,11 +146,7 @@ def min_degree(G: Hypergraph) -> int:
     """Minimum vertex degree; 0 for the graph on no vertices."""
     if G.n == 0:
         return 0
-    deg = dict.fromkeys(G.vertices, 0)
-    for e in G.edges:
-        for v in e:
-            deg[v] += 1
-    return min(deg.values())
+    return min(_degree_table(G.edges, G.vertices).values())
 
 
 def link(G: Hypergraph, T) -> Hypergraph:
@@ -144,33 +192,18 @@ def induced(G: Hypergraph, vs):
     vs = sorted(set(vs))
     if vs and (vs[0] < 1 or vs[-1] > G.n):
         raise ValueError(f"vertex set {vs} not within 1..{G.n}")
-    relabel = {v: k for k, v in enumerate(vs, start=1)}
-    keep = set(vs)
-    out = frozenset(
-        tuple(relabel[v] for v in e) for e in G.edges if keep.issuperset(e)
-    )
+    out, relabel = _relabel(G.edges, vs)
     return Hypergraph(G.r, len(vs), out), relabel
 
 
 def uncovered_pairs(G: Hypergraph):
     """All pairs {i,j} that appear together in no edge, as sorted tuples."""
-    covered = set()
-    for e in G.edges:
-        covered.update(itertools.combinations(e, 2))
-    return [
-        p for p in itertools.combinations(G.vertices, 2) if p not in covered
-    ]
+    return _uncovered(G.edges, G.vertices)
 
 
 def covers_pairs(G: Hypergraph) -> bool:
     """True iff every vertex pair lies in some edge."""
-    need = G.n * (G.n - 1) // 2
-    covered = set()
-    for e in G.edges:
-        covered.update(itertools.combinations(e, 2))
-        if len(covered) == need:
-            return True
-    return len(covered) == need
+    return not _uncovered(G.edges, G.vertices)
 
 
 def blowup(G: Hypergraph, sizes) -> Hypergraph:
@@ -191,11 +224,7 @@ def blowup(G: Hypergraph, sizes) -> Hypergraph:
     classes = {
         v: range(offset[v - 1] + 1, offset[v] + 1) for v in G.vertices
     }
-    out = set()
-    for e in G.edges:
-        for combo in itertools.product(*(classes[v] for v in e)):
-            out.add(tuple(sorted(combo)))
-    return Hypergraph(G.r, offset[-1], frozenset(out))
+    return Hypergraph(G.r, offset[-1], _blow(G.edges, classes))
 
 
 def same_links(G: Hypergraph, i: int, j: int) -> bool:

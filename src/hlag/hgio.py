@@ -116,9 +116,13 @@ def emit_hg(G: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _graph_obj(G: Hypergraph) -> dict:
+    """The JSON object of G, which ``parse_json`` reads back."""
+    return {"r": G.r, "n": G.n, "edges": [list(e) for e in G.edge_list()]}
+
+
 def emit_json(G: Hypergraph) -> str:
-    obj = {"r": G.r, "n": G.n, "edges": [list(e) for e in G.edge_list()]}
-    return json.dumps(obj)
+    return json.dumps(_graph_obj(G))
 
 
 def load_graph(path: str) -> Hypergraph:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Hypergraph
+from .core import Hypergraph, _degree_table
 from .errors import UnsupportedSizeError
 
 __all__ = [
@@ -72,7 +72,7 @@ def classify_edges(G: Hypergraph, W1) -> PartitionScore:
         bad=counts[0] + counts[2],
         very_bad=counts[3],
         worst=counts[4],
-        sigma=counts[0] + counts[2] + 2 * counts[3] + 3 * counts[4],
+        sigma=sum(c * k for c, k in zip(_CONTRIB, counts)),
     )
 
 
@@ -153,10 +153,7 @@ def _branch_and_bound(G, edges, best_sigma, best_w1):
     """Exact DFS over vertex assignments, high-degree vertices first,
     pruning once the partial lower bound reaches the incumbent."""
     n, r = G.n, G.r
-    deg = {v: 0 for v in range(1, n + 1)}
-    for e in edges:
-        for v in e:
-            deg[v] += 1
+    deg = _degree_table(edges, range(1, n + 1))
     order = sorted(range(1, n + 1), key=lambda v: (-deg[v], v))
     pos = {v: i for i, v in enumerate(order)}
     inc = [[] for _ in range(n)]

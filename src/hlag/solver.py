@@ -56,6 +56,8 @@ import numpy as np
 
 from .core import (
     Hypergraph,
+    _degree_table,
+    _uncovered,
     induced,
     is_left_compressed,
     link,
@@ -78,6 +80,7 @@ __all__ = [
 
 ENUM_CLASSES = 12  # most classes for the full 2**k support walk
 MAX_ITERATIONS = 500  # exponentiated-gradient steps per multistart ascent
+NEWTON_ITERATIONS = 60  # Newton iterations per run on one support
 STALL_TOL = 1e-12  # a row gain below this is a stall step of the ascent
 CHUNK = 25  # ascent steps between Newton polishes of the best rows
 _CERTIFIED = 1e-10  # quotient KKT residual that ends the ascent early
@@ -180,16 +183,8 @@ def kkt_residual(G: Hypergraph, x, value: float | None = None) -> float:
 def kkt_report(G: Hypergraph, x) -> KktReport:
     """Residual plus any positive-weight pair not covered by an edge."""
     res = kkt_residual(G, x)
-    support = {i + 1 for i in range(G.n) if x[i] > 0.0}
-    covered = set()
-    for e in G.edges:
-        covered.update(itertools.combinations(e, 2))
-    bad = tuple(
-        p
-        for p in itertools.combinations(sorted(support), 2)
-        if p not in covered
-    )
-    return KktReport(res, bad)
+    support = [i + 1 for i in range(G.n) if x[i] > 0.0]
+    return KktReport(res, tuple(_uncovered(G.edges, support)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +196,7 @@ def kkt_report(G: Hypergraph, x) -> KktReport:
 # A term array is the class quotient or its restriction to one support.
 
 
-def _classes(G: Hypergraph, intervals: bool = False) -> tuple:
+def _classes(G: Hypergraph) -> tuple:
     """Classes of vertices with mirrored links, ordered by smallest vertex.
 
     The union-find over ``same_links`` pairs; each class is a sorted tuple
@@ -209,11 +204,8 @@ def _classes(G: Hypergraph, intervals: bool = False) -> tuple:
     i and j are mirrored iff they have equal degree and every edge through
     i but not j has its mirror (i swapped for j) among the edges through
     j, since the mirror map is then a bijection between the two sides.
-    With ``intervals`` (G is left-compressed) the classes are the runs of
-    equal degree, ``_degree_runs``.
+    On a left-compressed graph ``_degree_runs`` finds the same classes.
     """
-    if intervals:
-        return _degree_runs(G.edges, G.n)
     through = [set() for _ in range(G.n + 1)]
     for e in G.edges:
         for v in e:
@@ -256,10 +248,10 @@ def _degree_runs(edges, n) -> tuple:
     that map is onto, iff their degrees are equal; and the classes are
     label intervals (see the module docstring).
     """
-    degree = collections.Counter(itertools.chain.from_iterable(edges))
+    vertices = range(1, n + 1)
+    degree = _degree_table(edges, vertices)
     return tuple(
-        tuple(run)
-        for _, run in itertools.groupby(range(1, n + 1), key=degree.__getitem__)
+        tuple(run) for _, run in itertools.groupby(vertices, key=degree.__getitem__)
     )
 
 
@@ -417,7 +409,7 @@ class _NewtonRun(tuple):
         return run
 
 
-def _newton_on_support(Ts: _Terms, S, n, x0=None, iters=60):
+def _newton_on_support(Ts: _Terms, S, n, x0=None):
     """Damped Newton for the stationarity system of Ts, the terms
     restricted to the sorted support S (0-based labels of n variables).
 
@@ -425,10 +417,10 @@ def _newton_on_support(Ts: _Terms, S, n, x0=None, iters=60):
     candidates x + 2**-j * step at once; of the rows with every weight
     >= -1e-10 it accepts, in order, the first that lowers the residual, as
     halving t from 1 would.  The run stops when no row is accepted, at
-    residual 1e-14 or after ``iters`` iterations.  It also stops once
-    ``_BOUNDARY_STREAK`` iterations in a row find neither the full nor the
-    half step feasible: the step keeps pointing out of the face, whose
-    stationary point then lies outside it.
+    residual 1e-14 or after ``NEWTON_ITERATIONS`` iterations.  It also
+    stops once ``_BOUNDARY_STREAK`` iterations in a row find neither the
+    full nor the half step feasible: the step keeps pointing out of the
+    face, whose stationary point then lies outside it.
 
     Returns a ``_NewtonRun``: (full-length weighting, residual of the
     stationarity system), labelled ``resolved`` when the residual is at
@@ -451,7 +443,7 @@ def _newton_on_support(Ts: _Terms, S, n, x0=None, iters=60):
     J[k, :k] = 1.0
     F = np.empty(k + 1)
     streak = 0  # iterations in a row whose longest feasible step is <= 1/4
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERATIONS):
         if fnorm < 1e-14:
             break
         J[:k, :k] = Ts.hessian(x)
@@ -507,16 +499,6 @@ def _tangent_ascent_exists(Ts: _Terms, x) -> bool:
     M = P @ H @ P
     eig = np.linalg.eigvalsh((M + M.T) / 2.0)
     return bool(eig[-1] > 1e-12 + 1e-9 * float(np.abs(H).max()))
-
-
-def _covered_within(terms_inside, members) -> bool:
-    """True when every pair of distinct members shares a term."""
-    covered = set()
-    for t in terms_inside:
-        covered.update(itertools.combinations(t, 2))
-    return all(
-        p in covered for p in itertools.combinations(sorted(members), 2)
-    )
 
 
 def _lambda_complete(s: int, r: int) -> float:
@@ -611,7 +593,7 @@ def _support_enum(r: int, T: _Terms, sizes, prefix_only: bool):
         # some optimum is constant on classes, and an optimum of minimal
         # support covers all its pairs; so two distinct classes meeting it
         # share an edge, while a pair inside one class may be uncovered
-        if not _covered_within(inside, S):
+        if _uncovered(inside, S):
             continue
         S, Ts = _restrict(T, S)
         run = _solve_support(T, Ts, S, k)
@@ -782,7 +764,8 @@ def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
         exact = G.n <= 8 or prefix_only
         method = "support-enum" if exact else "multistart-ascent"
     value, x, used = _solve_quotient(
-        G.edge_list(), G.n, G.r, _classes(G, intervals=prefix_only),
+        G.edge_list(), G.n, G.r,
+        _degree_runs(G.edges, G.n) if prefix_only else _classes(G),
         method, prefix_only, cfg,
     )
     weighting = tuple(x.tolist())

@@ -5,12 +5,11 @@ over the original labels the whole way so the run can be audited."""
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .core import Hypergraph
+from .core import Hypergraph, _blow, _degree_table, _relabel, _uncovered
 from .errors import NotFreeError
 from .families import matching
 from .freeness import is_core_free
@@ -73,11 +72,7 @@ class PointedHypergraph:
 
     @functools.cached_property
     def _degrees(self):
-        degs = dict.fromkeys(self.vertices, 0)
-        for e in self.edges:
-            for v in e:
-                degs[v] += 1
-        return MappingProxyType(degs)
+        return MappingProxyType(_degree_table(self.edges, self.vertices))
 
     def edge_count(self):
         return len(self.edges)
@@ -85,10 +80,8 @@ class PointedHypergraph:
     def to_hypergraph(self):
         """Relabel to 1..m in increasing label order; returns the graph and
         the old-to-new map."""
-        order = sorted(self.vertices)
-        relabel = {v: i + 1 for i, v in enumerate(order)}
-        edges = frozenset(tuple(sorted(relabel[v] for v in e)) for e in self.edges)
-        return Hypergraph(self.r, len(order), edges), relabel
+        edges, relabel = _relabel(self.edges, sorted(self.vertices))
+        return Hypergraph(self.r, len(relabel), edges), relabel
 
 
 def initial_pointed(G: Hypergraph) -> PointedHypergraph:
@@ -143,31 +136,17 @@ def clean(PG: PointedHypergraph, alpha: float, fixed_n: int | None = None):
     return PG, tuple(removed)
 
 
-def _blow(r, base_edges, part_of):
-    out = set()
-    for e in base_edges:
-        for combo in itertools.product(*(part_of[v] for v in e)):
-            out.add(tuple(sorted(combo)))
-    return frozenset(out)
-
-
 def merge(PG: PointedHypergraph):
     """Merge the lexicographically first uncovered representative pair.
 
-    The lower-degree representative's part is appended to the other's
-    (ties keep the smaller label), and the graph is rebuilt as the blowup
-    of its restriction to the surviving representatives.  Returns the new
-    state and a step detail, or (PG, None) when every pair is covered.
+    The pairs come from ``core._uncovered``, which reads each edge only at
+    its representatives.  The lower-degree representative's part is
+    appended to the other's (ties keep the smaller label), and the graph
+    is rebuilt as the blowup (``core._blow``) of its restriction to the
+    surviving representatives.  Returns the new state and a step detail,
+    or (PG, None) when every pair is covered.
     """
-    reps = PG.reps
-    rep_set = set(reps)
-    covered = set()
-    for e in PG.edges:
-        inside = [v for v in e if v in rep_set]
-        covered.update(itertools.combinations(sorted(inside), 2))
-    uncovered = [
-        p for p in itertools.combinations(reps, 2) if p not in covered
-    ]
+    uncovered = _uncovered(PG.edges, PG.reps)
     if not uncovered:
         return PG, None
     u, v = min(uncovered)
@@ -186,10 +165,9 @@ def merge(PG: PointedHypergraph):
             new_parts.append(part + part_of[gone])
         elif part[0] != gone:
             new_parts.append(part)
-    surviving = rep_set - {gone}
-    base = [e for e in PG.edges if set(e) <= surviving]
-    new_part_of = {part[0]: part for part in new_parts}
-    edges = _blow(PG.r, base, new_part_of)
+    surviving = set(PG.reps) - {gone}
+    base = [e for e in PG.edges if surviving.issuperset(e)]
+    edges = _blow(base, {part[0]: part for part in new_parts})
     out = PointedHypergraph(
         r=PG.r,
         vertices=PG.vertices,
@@ -229,29 +207,23 @@ class SymTrace:
         return self.final.to_hypergraph()
 
 
-def symmetrize(
-    G: Hypergraph,
-    alpha: float,
-    check_free: bool = True,
-    fixed_n: int | None = None,
-) -> SymTrace:
+def symmetrize(G: Hypergraph, alpha: float, fixed_n: int | None = None) -> SymTrace:
     """Run the clean/merge loop until a clean state has no uncovered
     representative pair; that state is the result.
 
     The input must be 4-uniform and must not contain two disjoint edges
-    spanning a fully covered 8-set (checked unless ``check_free`` is off).
+    spanning a fully covered 8-set.
     """
     if G.r != 4:
         raise ValueError(f"symmetrization is defined for 4-graphs, got r={G.r}")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if check_free:
-        report = is_core_free(G, 8, matching(2, 4))
-        if not report.free:
-            raise NotFreeError(
-                "input has two disjoint edges on a covered 8-set",
-                witness=report.witness,
-            )
+    report = is_core_free(G, 8, matching(2, 4))
+    if not report.free:
+        raise NotFreeError(
+            "input has two disjoint edges on a covered 8-set",
+            witness=report.witness,
+        )
 
     pg = initial = initial_pointed(G)
     steps = []
@@ -310,8 +282,8 @@ def _links_by_vertex(state: PointedHypergraph):
 
 def _is_blowup(state: PointedHypergraph) -> bool:
     rep_set = set(state.reps)
-    base = [e for e in state.edges if set(e) <= rep_set]
-    return _blow(state.r, base, state.part_by_rep()) == state.edges
+    base = [e for e in state.edges if rep_set.issuperset(e)]
+    return _blow(base, state.part_by_rep()) == state.edges
 
 
 def audit(trace: SymTrace) -> AuditReport:
@@ -320,11 +292,13 @@ def audit(trace: SymTrace) -> AuditReport:
     Covers: vertex/representative chains shrink; each step refines parts
     (so transversality and the partition property at any stage imply them
     for all earlier stages); parts partition the vertices; edges meet each
-    part at most once; each state equals the blowup of its restriction to
-    the representatives; part members are pairwise interchangeable; a
-    merge never loses edges; once a merge survivor's part misses the final
-    vertex set, so does the absorbed part; the final state meets the
-    degree threshold and stays free of the forbidden core pattern.
+    part at most once; each state equals the blowup (``core._blow``, as
+    ``merge`` builds it) of its restriction to the representatives; part
+    members are pairwise interchangeable; a merge never loses edges; once
+    a merge survivor's part misses the final vertex set, so does the
+    absorbed part; the final state meets the degree threshold; and its
+    base, relabelled onto 1..m by ``core._relabel``, stays free of the
+    forbidden core pattern.
 
     A clean step that removes nothing returns its input, so the per-state
     checks skip a state that is the same object as the one before it.
@@ -444,7 +418,8 @@ def audit(trace: SymTrace) -> AuditReport:
     checks.append(AuditCheck("final-min-degree", ok))
 
     if final.vertices:
-        base_graph, _ = _rep_base(final)
+        reps = sorted(final.reps)
+        base_graph = Hypergraph(final.r, len(reps), _relabel(final.edges, reps)[0])
         report = is_core_free(base_graph, 8, matching(2, 4))
         checks.append(AuditCheck("final-base-free", report.free))
     else:
@@ -456,15 +431,3 @@ def audit(trace: SymTrace) -> AuditReport:
         final_vertex_fraction=frac,
         alpha=trace.alpha,
     )
-
-
-def _rep_base(state: PointedHypergraph):
-    rep_set = set(state.reps)
-    order = sorted(rep_set)
-    relabel = {v: i + 1 for i, v in enumerate(order)}
-    edges = frozenset(
-        tuple(sorted(relabel[v] for v in e))
-        for e in state.edges
-        if set(e) <= rep_set
-    )
-    return Hypergraph(state.r, len(order), edges), relabel

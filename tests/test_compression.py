@@ -2,13 +2,8 @@ import random
 
 import pytest
 
-from hlag.compression import (
-    compress_pair,
-    dense_and_compress,
-    is_left_compressed,
-    potential,
-)
-from hlag.core import Hypergraph, link_diff
+from hlag.compression import compress_pair, dense_and_compress, potential
+from hlag.core import Hypergraph, is_left_compressed, link_diff
 from hlag.errors import NotFreeError
 from hlag.families import case_family, complete, k53minus2, split, star
 from hlag.freeness import is_matching_free

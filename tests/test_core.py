@@ -5,6 +5,7 @@ import pytest
 
 from hlag.core import (
     Hypergraph,
+    _uncovered,
     blowup,
     covers_pairs,
     degree,
@@ -92,6 +93,43 @@ def test_uncovered_pairs_of_matching():
     assert len(pairs) == 16
     assert pairs[0] == (1, 5)
     assert all(i <= 4 < j for i, j in pairs)
+
+
+def _uncovered_by_definition(edges, vs):
+    return [
+        (a, b) for a, b in itertools.combinations(vs, 2)
+        if not any(a in e and b in e for e in edges)
+    ]
+
+
+def test_uncovered_routine_matches_the_definition():
+    # a pair of the queried set is uncovered iff no edge holds both, however
+    # much of each edge lies outside the set
+    rng = random.Random(22)
+    found = set()
+    for _ in range(400):
+        n, r = rng.randint(2, 9), rng.randint(2, 4)
+        pool = list(itertools.combinations(range(1, n + 1), min(r, n)))
+        p = rng.random()
+        edges = [e for e in pool if rng.random() < p]
+        vs = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        got = _uncovered(edges, vs)
+        assert got == _uncovered_by_definition(edges, vs), (edges, vs)
+        found.add(bool(got))
+    # sorted class-index term rows that may repeat an index, all of them or
+    # only those inside the support, as support enumeration passes them
+    for _ in range(400):
+        k, r = rng.randint(1, 6), rng.randint(2, 4)
+        rows = [
+            tuple(sorted(rng.randrange(k) for _ in range(r)))
+            for _ in range(rng.randint(0, 8))
+        ]
+        S = sorted(rng.sample(range(k), rng.randint(1, k)))
+        for terms in (rows, [t for t in rows if set(t) <= set(S)]):
+            got = _uncovered(terms, S)
+            assert got == _uncovered_by_definition(terms, S), (terms, S)
+            found.add(bool(got))
+    assert found == {False, True}
 
 
 def test_blowup_identity_and_sizes():

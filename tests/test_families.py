@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hlag.compression import is_left_compressed
-from hlag.core import uncovered_pairs
+from hlag.core import is_left_compressed, uncovered_pairs
 from hlag.families import (
     FamilySpec,
     case_family,

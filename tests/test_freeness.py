@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from hlag.compression import is_left_compressed
-from hlag.core import Hypergraph
+from hlag.core import Hypergraph, is_left_compressed
 from hlag.errors import UnsupportedSizeError
 from hlag.families import complete, extension, matching, split, star
 from hlag.freeness import (

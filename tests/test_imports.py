@@ -102,6 +102,26 @@ def test_verify_suites_at_small_n_load_no_numpy_random():
     assert _fresh(_RANDOM_AFTER_VERIFY).split() == ["True", "False"]
 
 
+_PACKAGE_NAMES_OUTSIDE_THE_SOLVER = """
+import sys
+import hlag
+read = [
+    name for name in hlag.__all__
+    if hlag._EXPORTS[name] not in ("solver", "compression", "verify")
+]
+for name in read:
+    getattr(hlag, name)
+print(len(read), "numpy" in sys.modules)
+"""
+
+
+def test_package_names_outside_the_solver_load_no_numpy():
+    # only solver imports numpy, and compression and verify import solver
+    count, numpy_loaded = _fresh(_PACKAGE_NAMES_OUTSIDE_THE_SOLVER).split()
+    assert int(count) == 57
+    assert numpy_loaded == "False"
+
+
 # every name a tracer patches to time a layer, per module
 BOUND_NAMES = {
     hlag.cli: (

@@ -15,7 +15,7 @@ import pytest
 import hlag
 from hlag.cli import main
 from hlag.compression import dense_and_compress
-from hlag.core import Hypergraph, blowup, is_left_compressed, same_links
+from hlag.core import Hypergraph, _uncovered, blowup, is_left_compressed, same_links
 from hlag.errors import UnsupportedSizeError
 from hlag.families import (
     case_family,
@@ -30,9 +30,9 @@ from hlag.freeness import _walk, _walk_table
 from hlag.hgio import emit_hg
 from hlag.solver import (
     ENUM_CLASSES,
+    NEWTON_ITERATIONS,
     SolverConfig,
     _classes,
-    _covered_within,
     _degree_runs,
     _lambda_complete,
     _newton_on_support,
@@ -148,7 +148,7 @@ def test_support_enum_counts_supports_when_none_resolves(monkeypatch, G):
     # degree-seeded retry; the supports tried are the uniform-start runs
     calls = []
 
-    def fail(Ts, S, n, x0=None, iters=60):
+    def fail(Ts, S, n, x0=None):
         if x0 is None:
             calls.append(tuple(S))
         return _NewtonRun(None, math.inf, "interior")
@@ -207,7 +207,7 @@ def test_theorem_suite_support_count(monkeypatch):
     assert (len(seen), sum(seen)) == (81, 121)
 
 
-def _newton_halving_reference(Ts, S, n, x0=None, iters=60, streak_stop=5):
+def _newton_halving_reference(Ts, S, n, x0=None, streak_stop=5):
     """``_newton_on_support`` with its first line search: the step lengths
     t = 1, 1/2, ... tried one at a time, up to 40 of them.  It stops after
     ``streak_stop`` iterations in a row where neither t = 1 nor t = 1/2
@@ -225,7 +225,7 @@ def _newton_halving_reference(Ts, S, n, x0=None, iters=60, streak_stop=5):
     J[k, :k] = 1.0
     F = np.empty(k + 1)
     streak, pushed_out = 0, False
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERATIONS):
         if fnorm < 1e-14:
             break
         J[:k, :k] = Ts.hessian(x)
@@ -277,10 +277,10 @@ def _checked_newton(monkeypatch, streak_stop=5):
     checked = []
     monkeypatch.setattr("hlag.solver._BOUNDARY_STREAK", streak_stop)
 
-    def both(Ts, S, n, x0=None, iters=60):
-        run = _newton_on_support(Ts, S, n, x0, iters)
+    def both(Ts, S, n, x0=None):
+        run = _newton_on_support(Ts, S, n, x0)
         z, fnorm = run
-        ref = _newton_halving_reference(Ts, S, n, x0, iters, streak_stop)
+        ref = _newton_halving_reference(Ts, S, n, x0, streak_stop)
         zr, fr = ref
         assert (z is None) == (zr is None)
         assert z is None or z.tobytes() == zr.tobytes()
@@ -396,7 +396,7 @@ def _support_enum_reference(r, T, sizes, prefix_only, retry_on_boundary=False):
         if not inside:
             continue
         S = [c for c in range(k) if smask >> c & 1]
-        if not _covered_within(inside, S):
+        if _uncovered(inside, S):
             continue
         S, Ts = _restrict(T, S)
         run = hlag.solver._newton_on_support(Ts, S, k)
@@ -502,9 +502,9 @@ def test_stopping_runs_pushed_out_of_their_face_changes_no_result(monkeypatch):
     solves, stopped = _corpus_solves()
     labels = collections.Counter()
 
-    def unstopped(Ts, S, n, x0=None, iters=60):
-        labels[_newton_on_support(Ts, S, n, x0, iters).label] += 1
-        return _newton_halving_reference(Ts, S, n, x0, iters, streak_stop=None)
+    def unstopped(Ts, S, n, x0=None):
+        labels[_newton_on_support(Ts, S, n, x0).label] += 1
+        return _newton_halving_reference(Ts, S, n, x0, streak_stop=None)
 
     monkeypatch.setattr("hlag.solver._newton_on_support", unstopped)
     assert [maximize(G, cfg) for G, cfg in solves] == stopped
@@ -542,8 +542,8 @@ def test_kernel_counts_of_the_theorem_suite(monkeypatch):
         monkeypatch.setattr(_Terms, name, counted)
     labels = collections.Counter()
 
-    def labelled(Ts, S, n, x0=None, iters=60):
-        run = _newton_on_support(Ts, S, n, x0, iters)
+    def labelled(Ts, S, n, x0=None):
+        run = _newton_on_support(Ts, S, n, x0)
         labels[run.label] += 1
         return run
 
@@ -614,9 +614,9 @@ def test_newton_run_counts_of_the_n8_family_solves(monkeypatch):
     # after a stall on the face boundary
     runs = {"uniform": 0, "seeded": 0}
 
-    def counting(Ts, S, n, x0=None, iters=60):
+    def counting(Ts, S, n, x0=None):
         runs["uniform" if x0 is None else "seeded"] += 1
-        return _newton_on_support(Ts, S, n, x0, iters)
+        return _newton_on_support(Ts, S, n, x0)
 
     monkeypatch.setattr("hlag.solver._newton_on_support", counting)
     for G in _maximal_families(8):
@@ -719,10 +719,10 @@ def test_adjacent_pairs_find_the_classes_of_left_compressed_graphs():
         for present, _ in _walk(table, 2):
             edges = table.edge_set(present)
             G = Hypergraph(4, n, frozenset(edges))
-            assert _degree_runs(edges, n) == _classes(G, intervals=True) == _classes(G), G
+            assert _degree_runs(edges, n) == _classes(G), G
             checked += 1
     for G in _left_compressed_named_graphs():
-        assert _classes(G, intervals=True) == _classes(G), G
+        assert _degree_runs(G.edges, G.n) == _classes(G), G
         checked += 1
     assert checked == 4370 + 37145 + 91 + 24
 
@@ -733,7 +733,7 @@ def test_equal_degrees_are_not_classes_off_left_compressed_graphs():
     # read 2/8**4 for lambda; maximize tests all pairs, as it must
     G = Hypergraph(4, 8, frozenset([(1, 3, 4, 5), (2, 6, 7, 8)]))
     assert not is_left_compressed(G)
-    assert _classes(G, intervals=True) == (tuple(range(1, 9)),)
+    assert _degree_runs(G.edges, G.n) == (tuple(range(1, 9)),)
     assert _classes(G) == ((1, 3, 4, 5), (2, 6, 7, 8))
     for method in ("auto", "support-enum", "multistart-ascent"):
         assert maximize(G, SolverConfig(method=method)).value == 1 / 256, method
