@@ -6,11 +6,15 @@ run serially and accept only --jobs 1.
 Exit codes: 0 success, 1 witness or violation found or an iteration bound
 reached, 2 usage or input error.
 
+JSON output is the library's result types, read by ``dataclasses.asdict``:
+keys are their field names, except the few that ``_RENAMED`` maps.
+
 Each subcommand imports only the library modules it runs, so ``free``,
 ``symmetrize``, ``partition``, ``family`` and ``--help`` never load numpy.
-The library names stay attributes of this module: ``_LAZY`` maps each to
-its submodule, and a command begins by binding the names it calls
-(``_bind``), loading a module on first use.  A name already bound, say a
+The library names stay attributes of this module, each loaded on first
+use from the submodule that the package's ``_EXPORTS`` names (plus two
+``hgio`` helpers the package does not export).  A command begins by
+binding the names it calls (``_bind``).  A name already bound, say a
 tracer's timing wrapper or a test's patch, is left as it is, and the
 command calls that object.
 """
@@ -23,33 +27,12 @@ import json
 import os
 import sys
 
-from . import _bind, _lazy
+from . import _EXPORTS, _bind, _lazy
 from .errors import HgParseError, NotFreeError, UnsupportedSizeError
 
-_LAZY = {
-    "dense_and_compress": "compression",
-    "FamilySpec": "families",
-    "matching": "families",
-    "extremal_lambda_search": "freeness",
-    "is_core_free": "freeness",
-    "is_hom_free": "freeness",
-    "is_matching_free": "freeness",
-    "emit_hg": "hgio",
-    "emit_json": "hgio",
-    "_graph_obj": "hgio",
-    "load_graph": "hgio",
-    "parse_weights": "hgio",
-    "min_sigma_partition": "partition",
-    "SolverConfig": "solver",
-    "evaluate": "solver",
-    "maximize": "solver",
-    "audit": "symmetrize",
-    "symmetrize": "symmetrize",
-    "verify_cases": "verify",
-    "verify_theorem": "verify",
-}
-
-__getattr__ = _lazy(globals(), _LAZY)
+__getattr__ = _lazy(
+    globals(), {**_EXPORTS, "_graph_obj": "hgio", "parse_weights": "hgio"}
+)
 
 __all__ = ["main"]
 
@@ -61,6 +44,35 @@ def _f(v: float) -> str:
 def _emit_json(obj) -> int:
     print(json.dumps(obj, sort_keys=True, indent=2))
     return 0
+
+
+# JSON keys that differ from the result types' field names
+_RENAMED = {
+    "restarts_used": "restarts",
+    "max_value": "max_lambda",
+    "witness_is_star_subgraph": "star_subgraph",
+    "max_nonstar": "nonstar_max",
+    "max_nonstar_value": "nonstar_max",
+}
+
+
+def _record(result, **extra) -> dict:
+    """The fields of the dataclass ``result`` as a JSON object, keys renamed
+    by ``_RENAMED``; ``extra`` adds keys or replaces fields."""
+    record = {_RENAMED.get(k, k): v for k, v in dataclasses.asdict(result).items()}
+    record.update(extra)
+    return record
+
+
+def _write_witness(directory, name, G):
+    """Write ``G`` to ``directory/name`` as a .hg file and return the path;
+    no file and ``None`` when ``G`` is ``None``."""
+    if G is None:
+        return None
+    path = os.path.join(directory, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(emit_hg(G))
+    return path
 
 
 def cmd_family(args) -> int:
@@ -96,17 +108,7 @@ def cmd_maximize(args) -> int:
     cfg = SolverConfig(method=args.method, restarts=args.restarts, seed=args.seed)
     res = maximize(G, cfg)
     if args.format == "json":
-        return _emit_json(
-            {
-                "value": res.value,
-                "weighting": list(res.weighting),
-                "support": list(res.support),
-                "kkt_residual": res.kkt_residual,
-                "method": res.method,
-                "restarts": res.restarts_used,
-                "seed": res.seed,
-            }
-        )
+        return _emit_json(_record(res))
     print(f"value {_f(res.value)}")
     print("weighting " + " ".join(_f(w) for w in res.weighting))
     print("support " + " ".join(str(v) for v in res.support))
@@ -127,17 +129,7 @@ def cmd_compress(args) -> int:
                 "final": _graph_obj(final),
                 "initial_value": trace.initial_value,
                 "final_value": trace.final_value,
-                "steps": [
-                    {
-                        "kind": s.kind,
-                        "removed": list(s.removed),
-                        "i": s.i,
-                        "j": s.j,
-                        "moved": s.moved,
-                        "value": s.value,
-                    }
-                    for s in trace.steps
-                ],
+                "steps": [_record(s) for s in trace.steps],
             }
         )
     for s in trace.steps:
@@ -194,29 +186,12 @@ def cmd_search(args) -> int:
     guard = args.n if args.unsafe_size else None
     sr = extremal_lambda_search(args.n, args.r, args.t, guard=guard)
     os.makedirs(args.witness_dir, exist_ok=True)
-    wpath = os.path.join(args.witness_dir, f"search-n{sr.n}-max.hg")
-    with open(wpath, "w", encoding="utf-8") as fh:
-        fh.write(emit_hg(sr.witness))
-    npath = None
-    if sr.nonstar_witness is not None:
-        npath = os.path.join(args.witness_dir, f"search-n{sr.n}-nonstar.hg")
-        with open(npath, "w", encoding="utf-8") as fh:
-            fh.write(emit_hg(sr.nonstar_witness))
+    wpath = _write_witness(args.witness_dir, f"search-n{sr.n}-max.hg", sr.witness)
+    npath = _write_witness(
+        args.witness_dir, f"search-n{sr.n}-nonstar.hg", sr.nonstar_witness
+    )
     if args.format == "json":
-        return _emit_json(
-            {
-                "n": sr.n,
-                "r": sr.r,
-                "t": sr.t,
-                "families": sr.families,
-                "evaluated": sr.evaluated,
-                "max_lambda": sr.max_value,
-                "witness": wpath,
-                "star_subgraph": sr.witness_is_star_subgraph,
-                "nonstar_max": sr.max_nonstar_value,
-                "nonstar_witness": npath,
-            }
-        )
+        return _emit_json(_record(sr, witness=wpath, nonstar_witness=npath))
     print("n families evaluated max_lambda witness star")
     star_flag = "yes" if sr.witness_is_star_subgraph else "no"
     print(
@@ -287,18 +262,7 @@ def cmd_partition(args) -> int:
     )
     s = result.score
     if args.format == "json":
-        return _emit_json(
-            {
-                "sigma": s.sigma,
-                "w1": list(s.w1),
-                "w2": list(s.w2),
-                "good": s.good,
-                "bad": s.bad,
-                "very_bad": s.very_bad,
-                "worst": s.worst,
-                "exhaustive": result.exhaustive,
-            }
-        )
+        return _emit_json(_record(s, exhaustive=result.exhaustive))
     print(f"sigma {s.sigma}")
     print("w1 " + " ".join(str(v) for v in s.w1))
     print("w2 " + " ".join(str(v) for v in s.w2))
@@ -335,7 +299,7 @@ def cmd_verify(args) -> int:
         n_max = args.n_max if args.n_max is not None else 14
         rows = verify_cases(range(n_min, n_max + 1), seed=args.seed)
         if args.format == "json":
-            _emit_json([dataclasses.asdict(r) for r in rows])
+            _emit_json([_record(r) for r in rows])
             return 0 if all(r.passed for r in rows) else 1
         failures = _render_rows(rows)
         return 0 if failures == 0 else 1
@@ -348,34 +312,14 @@ def cmd_verify(args) -> int:
         guard=n_max if args.unsafe_size else None,
     )
     os.makedirs(args.witness_dir, exist_ok=True)
-    witness_paths = []
-    for i, (desc, G) in enumerate(summary.violations):
-        if G is None:
-            witness_paths.append(None)
-            continue
-        path = os.path.join(args.witness_dir, f"verify-violation-{i}.hg")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(emit_hg(G))
-        witness_paths.append(path)
+    witness_paths = [
+        _write_witness(args.witness_dir, f"verify-violation-{i}.hg", G)
+        for i, (_, G) in enumerate(summary.violations)
+    ]
     if args.format == "json":
         _emit_json(
             {
-                "rows": [
-                    {
-                        "n": r.n,
-                        "families": r.families,
-                        "evaluated": r.evaluated,
-                        "max_lambda": r.max_value,
-                        "star_subgraph": r.witness_is_star_subgraph,
-                        "nonstar_max": r.max_nonstar,
-                        "star_value": r.star_value,
-                        "star_formula": r.star_formula,
-                        "scaled_star": r.scaled_star,
-                        "nonstar_ok": r.nonstar_ok,
-                        "star_ok": r.star_ok,
-                    }
-                    for r in summary.rows
-                ],
+                "rows": [_record(r) for r in summary.rows],
                 "violations": [
                     {"description": d, "witness": p}
                     for (d, _), p in zip(summary.violations, witness_paths)

@@ -52,6 +52,8 @@ class PointedHypergraph:
                 seen.add(v)
         if seen != set(self.vertices):
             raise ValueError("parts must partition the vertex set")
+        if any(a[0] > b[0] for a, b in zip(self.parts, self.parts[1:])):
+            raise ValueError("parts must be sorted by representative")
         for e in self.edges:
             if len(e) != self.r or list(e) != sorted(set(e)):
                 raise ValueError(f"bad edge {e}")
@@ -110,6 +112,13 @@ def _drop_vertex(PG: PointedHypergraph, w: int) -> PointedHypergraph:
     )
 
 
+def _degree_threshold(alpha: float, vertex_count: int, fixed_n: int | None):
+    """(9/128 - alpha) n^3, with n the vertex count unless ``fixed_n`` pins
+    it: the degree every representative of a clean state reaches."""
+    n = fixed_n if fixed_n is not None else vertex_count
+    return (DENSITY_COEFF - alpha) * n**3
+
+
 def clean(PG: PointedHypergraph, alpha: float, fixed_n: int | None = None):
     """Repeatedly delete from low-degree parts until every representative
     has degree at least (9/128 - alpha) n^3.
@@ -122,8 +131,7 @@ def clean(PG: PointedHypergraph, alpha: float, fixed_n: int | None = None):
     """
     removed = []
     while PG.vertices:
-        n = fixed_n if fixed_n is not None else len(PG.vertices)
-        threshold = (DENSITY_COEFF - alpha) * n**3
+        threshold = _degree_threshold(alpha, len(PG.vertices), fixed_n)
         degs = PG.degrees()
         low = [(degs[rep], rep) for rep in PG.reps if degs[rep] < threshold]
         if not low:
@@ -199,6 +207,7 @@ class SymTrace:
     initial: PointedHypergraph
     steps: tuple
     final: PointedHypergraph
+    fixed_n: int | None = None  # the n that pinned clean's threshold, if any
 
     def states(self):
         return (self.initial,) + tuple(s.state for s in self.steps)
@@ -248,6 +257,7 @@ def symmetrize(G: Hypergraph, alpha: float, fixed_n: int | None = None) -> SymTr
         initial=initial,
         steps=tuple(steps),
         final=final,
+        fixed_n=fixed_n,
     )
 
 
@@ -296,7 +306,8 @@ def audit(trace: SymTrace) -> AuditReport:
     ``merge`` builds it) of its restriction to the representatives; part
     members are pairwise interchangeable; a merge never loses edges; once
     a merge survivor's part misses the final vertex set, so does the
-    absorbed part; the final state meets the degree threshold; and its
+    absorbed part; the final state meets the degree threshold that ``clean``
+    applied (``trace.fixed_n`` pins its n as it pinned the run's); and its
     base, relabelled onto 1..m by ``core._relabel``, stays free of the
     forbidden core pattern.
 
@@ -408,14 +419,15 @@ def audit(trace: SymTrace) -> AuditReport:
     checks.append(AuditCheck("absorbed-dies-first", ok, why))
 
     final = trace.final
-    if final.vertices:
-        n = len(final.vertices)
-        threshold = (DENSITY_COEFF - trace.alpha) * n**3
-        degs = final.degrees()
-        ok = all(degs[v] >= threshold for v in final.vertices)
-    else:
-        ok = True
-    checks.append(AuditCheck("final-min-degree", ok))
+    threshold = _degree_threshold(trace.alpha, len(final.vertices), trace.fixed_n)
+    degs = final.degrees()
+    low = min((v for v in final.vertices if degs[v] < threshold), default=None)
+    ok, why = True, ""
+    if low is not None:
+        ok, why = False, (
+            f"vertex {low}: degree {degs[low]} < threshold {threshold:.17g}"
+        )
+    checks.append(AuditCheck("final-min-degree", ok, why))
 
     if final.vertices:
         reps = sorted(final.reps)

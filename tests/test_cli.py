@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import gc
 import importlib
 import io
@@ -234,6 +235,91 @@ def test_verify_cases_json_is_bare_array(capsys):
     assert {"check_id", "computed", "passed"} <= set(rows[0])
 
 
+def _key_sets(obj):
+    """The key set of a JSON object and of each object under it: a nested
+    object is keyed by its name, a list of objects (whose rows must share
+    one key set) by its name, and a bare array of objects by ``"[]"``."""
+    if isinstance(obj, list):
+        obj, sets = {"[]": obj}, {}
+    else:
+        sets = {"": set(obj)}
+    for name, value in obj.items():
+        if isinstance(value, dict):
+            sets[name] = set(value)
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            rows = {frozenset(row) for row in value}
+            assert len(rows) == 1, name
+            sets[name] = set(rows.pop())
+    return sets
+
+
+_GRAPH_KEYS = {"r", "n", "edges"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    pytest.param(["maximize", "--graph", "k53.hg"], {"": {
+        "value", "weighting", "support", "kkt_residual", "method", "restarts", "seed",
+    }}, id="maximize"),
+    pytest.param(["compress", "--graph", "half_star.hg", "--t", "2"], {
+        "": {"final", "initial_value", "final_value", "steps"},
+        "final": _GRAPH_KEYS,
+        "steps": {"kind", "removed", "i", "j", "moved", "value"},
+    }, id="compress"),
+    pytest.param(["partition", "--graph", "split8.hg"], {"": {
+        "sigma", "w1", "w2", "good", "bad", "very_bad", "worst", "exhaustive",
+    }}, id="partition"),
+    pytest.param(["search", "--n", "6"], {"": {
+        "n", "r", "t", "families", "evaluated", "max_lambda", "witness",
+        "star_subgraph", "nonstar_max", "nonstar_witness",
+    }}, id="search"),
+    pytest.param(["verify", "--suite", "theorem", "--n-max", "5"], {
+        "": {"rows", "violations", "trend_monotone", "passed"},
+        "rows": {
+            "n", "families", "evaluated", "max_lambda", "star_subgraph",
+            "nonstar_max", "star_value", "star_formula", "scaled_star",
+            "nonstar_ok", "star_ok",
+        },
+    }, id="verify-theorem"),
+    pytest.param(["verify", "--suite", "cases", "--n-min", "8", "--n-max", "8"], {
+        "[]": {
+            "check_id", "family", "n", "bound_num", "bound_den", "computed",
+            "margin", "passed", "kind", "tol",
+        },
+    }, id="verify-cases"),
+    pytest.param(["free", "--graph", "complete8.hg", "--pattern", "core", "--p", "8"], {
+        "": {"pattern", "free", "witness"},
+        "witness": {"core", "edges"},
+    }, id="free"),
+    pytest.param(["symmetrize", "--graph", "split12.hg", "--alpha", "0.05"], {
+        "": {
+            "steps", "final", "vertex_fraction", "target_fraction", "audit_ok",
+            "violations",
+        },
+        "final": _GRAPH_KEYS,
+        "violations": {"check", "detail"},
+    }, id="symmetrize"),
+])
+def test_json_key_sets_are_pinned(capsys, monkeypatch, tmp_path, argv, keys):
+    # JSON comes from the result types' fields, so a new field would reach
+    # the output unseen; each subcommand's keys are pinned here instead
+    from hlag.core import Hypergraph
+    from hlag.families import complete
+
+    half_star = Hypergraph(4, 10, frozenset(sorted(star(10, 4).edges)[::2]))
+    for name, G in (("k53", k53minus2()), ("half_star", half_star),
+                    ("split8", split(8, 4)), ("split12", split(12, 4)),
+                    ("complete8", complete(8, 4))):
+        write_graph(tmp_path, G, f"{name}.hg")
+    monkeypatch.chdir(tmp_path)
+    # the audit judges each trace at n = 20, so symmetrize reports violations
+    real_audit = hlag.cli.audit
+    monkeypatch.setattr(
+        hlag.cli, "audit", lambda trace: real_audit(dataclasses.replace(trace, fixed_n=20))
+    )
+    out = run(capsys, *argv, "--format", "json")[1]
+    assert _key_sets(json.loads(out)) == keys
+
+
 def test_verify_theorem_passes(capsys, tmp_path):
     # the benchmark's pinned dichotomy calls pass exactly --jobs 1, so
     # removing the flag fails here before it fails the benchmark
@@ -440,3 +526,22 @@ def test_both_process_entry_points_return_through_run(tmp_path):
     # with run()'s code once run() has frozen the heap
     out = _in_fresh_process(["-c", _RUN_AS_MAIN, "family", "--name", "star", "--n", "5"], tmp_path)[1]
     assert out.splitlines()[-1] == "0 True"
+
+
+def test_closed_output_pipe_ends_quietly(tmp_path):
+    # the reader takes one line of a 0.5 MB JSON document and closes the
+    # pipe while the writer still has most of it to write
+    g = write_graph(tmp_path, split(28, 4))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hlag", "symmetrize", "--graph", g, "--alpha", "0.05",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""

@@ -1,5 +1,7 @@
 import dataclasses
 import importlib
+import itertools
+import random
 from collections import defaultdict
 
 import pytest
@@ -13,6 +15,7 @@ from hlag.symmetrize import (
     AuditCheck,
     AuditReport,
     PointedHypergraph,
+    _drop_vertex,
     audit,
     clean,
     initial_pointed,
@@ -256,14 +259,16 @@ def _reference_audit(trace):
     checks.append(AuditCheck("absorbed-dies-first", ok, why))
 
     final = trace.final
+    ok, why = True, ""
     if final.vertices:
-        n = len(final.vertices)
+        n = trace.fixed_n if trace.fixed_n is not None else len(final.vertices)
         threshold = (DENSITY_COEFF - trace.alpha) * n**3
         degs = final.degrees()
-        ok = all(degs[v] >= threshold for v in final.vertices)
-    else:
-        ok = True
-    checks.append(AuditCheck("final-min-degree", ok))
+        for v in sorted(final.vertices):
+            if degs[v] < threshold:
+                ok, why = False, f"vertex {v}: degree {degs[v]} < threshold {threshold:.17g}"
+                break
+    checks.append(AuditCheck("final-min-degree", ok, why))
 
     if final.vertices:
         reps = sorted(final.reps)
@@ -378,6 +383,121 @@ def test_audit_checks_each_state_object_once(monkeypatch):
     assert len(blown) == len(objects)
 
 
+def _with_final(tr, state):
+    """``tr`` with ``state`` as its final state, held by its last step."""
+    return dataclasses.replace(
+        tr,
+        final=state,
+        steps=tr.steps[:-1] + (dataclasses.replace(tr.steps[-1], state=state),),
+    )
+
+
+def _base(state):
+    reps = set(state.reps)
+    return [e for e in state.edges if reps.issuperset(e)]
+
+
+def _reblown(state, base):
+    """``state`` with its edges rebuilt as the blowup of ``base``."""
+    return dataclasses.replace(state, edges=_blow(base, state.part_by_rep()))
+
+
+# Tampered versions of the split(12) trace at alpha 0.05, whose states 0..5
+# are init, clean, merge 2 (1 absorbs 2), clean, merge 4 (1 absorbs 3),
+# clean; no clean removes anything.  Each breaks exactly one audit check.
+
+
+def _vertex_regained(tr):
+    # the first clean step's state holds vertex 12, which the initial lacks
+    return dataclasses.replace(tr, initial=_drop_vertex(tr.initial, 12))
+
+
+def _member_moved(tr):
+    # the final clean moves vertex 3 from part (1, 2, 3) into part (4,)
+    parts = tuple(
+        (1, 2) if p == (1, 2, 3) else (4, 3) if p == (4,) else p for p in tr.final.parts
+    )
+    moved = dataclasses.replace(tr.final, parts=parts)
+    return _with_final(tr, _reblown(moved, _base(tr.final)))
+
+
+def _edges_lost(tr):
+    # merge 2 (and the clean after it, which hands on the same state)
+    # drops a base edge with its blowup: a blowup still, with 2 edges fewer
+    merged = tr.steps[1].state
+    base = sorted(_base(merged))[1:]
+    cut = _reblown(merged, base)
+    return dataclasses.replace(tr, steps=tuple(
+        dataclasses.replace(s, state=cut) if s.state is merged else s for s in tr.steps
+    ))
+
+
+def _roles_swapped(tr):
+    # the final clean removes vertex 3, the last member of part (1, 2, 3), as
+    # clean does; merge 4 is recorded with survivor and absorbed swapped
+    merge4 = tr.steps[3]
+    swapped = dataclasses.replace(
+        merge4, detail={**merge4.detail, "survivor": 3, "absorbed": 1}
+    )
+    tr = dataclasses.replace(tr, steps=tr.steps[:3] + (swapped,) + tr.steps[4:])
+    return _with_final(tr, _drop_vertex(tr.final, 3))
+
+
+def _threshold_raised(tr):
+    # a trace that claims clean pinned n = 20: every degree 84 is below it
+    return dataclasses.replace(tr, fixed_n=20)
+
+
+def _core_added(tr):
+    # the final base gains every 4-set of its first 8 representatives
+    head = sorted(tr.final.reps)[:8]
+    base = _base(tr.final) + list(itertools.combinations(head, 4))
+    return _with_final(tr, _reblown(tr.final, base))
+
+
+TAMPERED = [
+    (_vertex_regained, "chains-shrink", ""),
+    (_member_moved, "parts-refine", "step 4: part (1, 2, 3) split"),
+    (_edges_lost, "merge-gains-edges", "merge 2: 252 -> 250 edges"),
+    (
+        _roles_swapped, "absorbed-dies-first",
+        "merge 4: survivor part gone from the final state but absorbed part survives",
+    ),
+    (
+        _threshold_raised, "final-min-degree",
+        f"vertex 1: degree 84 < threshold {(DENSITY_COEFF - 0.05) * 20**3:.17g}",
+    ),
+    (_core_added, "final-base-free", ""),
+]
+
+
+@pytest.mark.parametrize(
+    "tamper, check, detail", TAMPERED, ids=[check for _, check, _ in TAMPERED]
+)
+def test_audit_flags_each_tampered_check(tamper, check, detail):
+    # parts-partition has no such case: PointedHypergraph refuses the state
+    bad = tamper(symmetrize(split(12, 4), alpha=0.05))
+    rep = audit(bad)
+    assert {c.name: c.detail for c in rep.violations()} == {check: detail}
+    assert rep == _reference_audit(bad)
+
+
+def test_audit_applies_the_runs_fixed_n():
+    # clean's threshold at fixed_n = 8 lies far below the one at n = 20, so
+    # the run keeps all 20 vertices; the audit judges them at the same n
+    edges = sorted(split(20, 4).edges)
+    G = Hypergraph(4, 20, frozenset(random.Random(1).sample(edges, len(edges) // 4)))
+    tr = symmetrize(G, alpha=0.05, fixed_n=8)
+    assert tr.fixed_n == 8
+    assert len(tr.final.vertices) == 20
+    rep = audit(tr)
+    assert rep.ok
+    assert rep == _reference_audit(tr)
+    unpinned = audit(dataclasses.replace(tr, fixed_n=None))
+    assert [c.name for c in unpinned.violations()] == ["final-min-degree"]
+    assert unpinned == _reference_audit(dataclasses.replace(tr, fixed_n=None))
+
+
 def test_audit_vacuous_on_trivial_trace():
     # nothing to clean or merge: complete coverage, high alpha
     tr = symmetrize(star(10, 4), alpha=0.08)
@@ -392,6 +512,13 @@ def test_pointed_hypergraph_validation():
             frozenset({1, 2, 3, 4}),
             frozenset({(1, 2, 3, 4)}),
             ((1, 2), (3,)),  # parts do not cover vertex 4
+        )
+    with pytest.raises(ValueError, match="sorted by representative"):
+        PointedHypergraph(
+            4,
+            frozenset(range(1, 6)),
+            complete(5, 4).edges,
+            ((5,), (1,), (2,), (3,), (4,)),
         )
 
 
