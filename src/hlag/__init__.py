@@ -71,7 +71,7 @@ _EXPORTS = {
         ("freeness", (
             "FreenessReport", "SearchResult", "enumerate_left_compressed_free",
             "extremal_lambda_search", "hom_search", "is_core_free",
-            "is_hom_free", "is_matching_free", "matching_number",
+            "is_matching_free", "matching_number",
         )),
         ("hgio", (
             "emit_hg", "emit_json", "load_graph", "parse_graph", "parse_hg",

@@ -41,8 +41,17 @@ def _f(v: float) -> str:
     return format(v, ".17g")
 
 
+def _write(text: str) -> None:
+    """Write the ASCII ``text`` to stdout in pieces of 512 bytes (POSIX's
+    least PIPE_BUF), which a pipe takes whole or refuses with EPIPE for
+    ``__main__.run``: unbuffered (``PYTHONUNBUFFERED``), one larger write to
+    a pipe whose reader has gone can end short with no error."""
+    for k in range(0, len(text), 512):
+        sys.stdout.write(text[k:k + 512])
+
+
 def _emit_json(obj) -> int:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -79,10 +88,7 @@ def cmd_family(args) -> int:
     _bind(__name__, "FamilySpec", "emit_hg", "emit_json")
     spec = FamilySpec(name=args.name, n=args.n, r=args.r, t=args.t, p=args.p, a=args.a)
     G = spec.build()
-    if args.format == "json":
-        print(emit_json(G))
-    else:
-        sys.stdout.write(emit_hg(G))
+    _write(emit_json(G) + "\n" if args.format == "json" else emit_hg(G))
     return 0
 
 
@@ -141,27 +147,22 @@ def cmd_compress(args) -> int:
                 f"# compress i={s.i} j={s.j} moved={s.moved} "
                 f"lambda={_f(s.value)}"
             )
-    sys.stdout.write(emit_hg(final))
+    _write(emit_hg(final))
     return 0
 
 
 def cmd_free(args) -> int:
-    _bind(
-        __name__, "load_graph", "matching",
-        "is_matching_free", "is_core_free", "is_hom_free",
-    )
+    _bind(__name__, "load_graph", "matching", "is_matching_free", "is_core_free")
     G = load_graph(args.graph)
     t = args.t
     p = args.p if args.p is not None else 2 * G.r
     if args.pattern == "m":
         report = is_matching_free(G, t)
-    elif args.pattern == "core":
-        report = is_core_free(G, p, matching(t, G.r))
     else:
-        report = is_hom_free(G, matching(t, G.r), p)
+        report = is_core_free(G, p, matching(t, G.r))
     if args.format == "json":
         witness = report.witness
-        if witness is not None and args.pattern in ("core", "hom"):
+        if witness is not None and args.pattern == "core":
             witness = {"core": list(witness[0]), "edges": [list(e) for e in witness[1]]}
         elif witness is not None:
             witness = [list(e) for e in witness]
@@ -170,7 +171,7 @@ def cmd_free(args) -> int:
     print(f"pattern {report.pattern}")
     print("free" if report.free else "not free")
     if report.witness is not None:
-        if args.pattern in ("core", "hom"):
+        if args.pattern == "core":
             core, edges = report.witness
             print("witness core " + " ".join(str(v) for v in core))
             for e in edges:
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("free", parents=[fmt], help="freeness checks")
     p.add_argument("--graph", required=True)
-    p.add_argument("--pattern", choices=("m", "core", "hom"), required=True)
+    p.add_argument("--pattern", choices=("m", "core"), required=True)
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--p", type=int, default=None)
     p.set_defaults(func=cmd_free)

@@ -301,15 +301,16 @@ def audit(trace: SymTrace) -> AuditReport:
 
     Covers: vertex/representative chains shrink; each step refines parts
     (so transversality and the partition property at any stage imply them
-    for all earlier stages); parts partition the vertices; edges meet each
-    part at most once; each state equals the blowup (``core._blow``, as
-    ``merge`` builds it) of its restriction to the representatives; part
-    members are pairwise interchangeable; a merge never loses edges; once
-    a merge survivor's part misses the final vertex set, so does the
-    absorbed part; the final state meets the degree threshold that ``clean``
-    applied (``trace.fixed_n`` pins its n as it pinned the run's); and its
-    base, relabelled onto 1..m by ``core._relabel``, stays free of the
-    forbidden core pattern.
+    for all earlier stages); edges meet each part at most once; each state
+    equals the blowup (``core._blow``, as ``merge`` builds it) of its
+    restriction to the representatives; part members are pairwise
+    interchangeable; a merge never loses edges; once a merge survivor's
+    part misses the final vertex set, so does the absorbed part; the final
+    state meets the degree threshold that ``clean`` applied
+    (``trace.fixed_n`` pins its n as it pinned the run's); and its base,
+    relabelled onto 1..m by ``core._relabel``, stays free of the forbidden
+    core pattern.  That parts partition the vertices is left to
+    ``PointedHypergraph``, which refuses any state whose parts do not.
 
     A clean step that removes nothing returns its input, so the per-state
     checks skip a state that is the same object as the one before it.
@@ -349,12 +350,6 @@ def audit(trace: SymTrace) -> AuditReport:
         if not ok:
             break
     checks.append(AuditCheck("parts-refine", ok, why))
-
-    ok = all(
-        frozenset(v for part in s.parts for v in part) == s.vertices
-        for _, s in distinct
-    )
-    checks.append(AuditCheck("parts-partition", ok))
 
     not_blowups = [(k, s) for k, s in distinct if not _is_blowup(s)]
 

@@ -14,7 +14,7 @@ import pytest
 
 import hlag
 from hlag.cli import build_parser, main
-from hlag.families import k53minus2, split, star
+from hlag.families import complete, k53minus2, split, star
 from hlag.hgio import emit_hg, parse_graph, parse_hg
 
 
@@ -412,6 +412,9 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["maximize"])  # missing --graph
     assert ei.value.code == 2
+    with pytest.raises(SystemExit) as ei:
+        main(["free", "--graph", "g.hg", "--pattern", "hom"])  # no such pattern
+    assert ei.value.code == 2
 
 
 def test_seeded_cli_runs_identical(capsys, tmp_path):
@@ -529,19 +532,28 @@ def test_both_process_entry_points_return_through_run(tmp_path):
 
 
 def test_closed_output_pipe_ends_quietly(tmp_path):
-    # the reader takes one line of a 0.5 MB JSON document and closes the
-    # pipe while the writer still has most of it to write
-    g = write_graph(tmp_path, split(28, 4))
-    env = dict(os.environ)
+    # the reader takes the first bytes of a document of 0.1 to 0.5 MB and
+    # closes the pipe while the writer still has most of it to write.  With
+    # stdout unbuffered, one large write to such a pipe can end short
+    # without an error, so the run has to write in smaller pieces
+    split28 = write_graph(tmp_path, split(28, 4), "split28.hg")
+    complete24 = write_graph(tmp_path, complete(24, 4), "complete24.hg")
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "hlag", "symmetrize", "--graph", g, "--alpha", "0.05",
-         "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait() == 1
-    assert err == b""
+    for argv, head in [
+        (["symmetrize", "--graph", split28, "--alpha", "0.05", "--format", "json"],
+         b"{\n"),
+        (["family", "--name", "complete", "--n", "30"], b"4 30\n"),
+        (["family", "--name", "complete", "--n", "30", "--format", "json"], b'{"r": 4'),
+        (["compress", "--graph", complete24, "--t", "7"], b"4 24\n"),
+    ]:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hlag", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(len(head)) == head, argv
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1, argv
+        assert err == b"", argv

@@ -14,7 +14,6 @@ from hlag.freeness import (
     extremal_lambda_search,
     hom_search,
     is_core_free,
-    is_hom_free,
     is_matching_free,
     matching_number,
 )
@@ -121,10 +120,60 @@ def test_core_free_matches_brute_force(n, m, planted, seed):
         assert rep.witness == (tuple(sorted(e + f)), (e, f))
 
 
-def test_is_hom_free_matches_core_free():
-    M2 = matching(2, 4)
-    for G in (complete(8, 4), star(9, 4), split(8, 4)):
-        assert is_hom_free(G, M2, 8).free == is_core_free(G, 8, M2).free
+# (r, t, p): the theorem's M_2^4 at p = 2r and beyond it, single edges, and
+# matchings of up to three edges in 3-graphs; the last two need at least two
+# core vertices outside the edges, which must be covered with each other
+CORE_CASES = [(3, 1, 3), (3, 1, 4), (3, 2, 6), (3, 2, 7), (3, 3, 9), (4, 2, 8),
+              (4, 2, 9), (4, 1, 5), (3, 1, 5), (4, 1, 7)]
+
+
+def test_core_free_matches_hom_search_for_any_matching():
+    # 40 seeded hosts per case; hom_search takes n <= 10
+    free = 0
+    for r, t, p in CORE_CASES:
+        rng = random.Random(f"core-hom:{r}:{t}:{p}")
+        F = matching(t, r)
+        for _ in range(40):
+            n = rng.randint(p, 10)
+            every = list(itertools.combinations(range(1, n + 1), r))
+            G = Hypergraph(r, n, frozenset(rng.sample(every, rng.randint(1, len(every)))))
+            rep = is_core_free(G, p, F)
+            assert rep.free == (hom_search(G, F, p) is None), (r, t, p, G)
+            free += rep.free
+            if rep.free:
+                continue
+            # p pairwise-covered vertices holding t disjoint host edges
+            core, edges = rep.witness
+            covered = {pair for e in G.edges for pair in itertools.combinations(e, 2)}
+            assert list(core) == sorted(set(core)) and len(core) == p
+            assert all(pair in covered for pair in itertools.combinations(core, 2))
+            assert len(edges) == t and all(e in G.edges for e in edges)
+            held = [v for e in edges for v in e]
+            assert len(set(held)) == r * t and set(held) <= set(core)
+    assert free >= 20
+
+
+@pytest.mark.parametrize("G,p,F,core", [
+    (split(12, 4), 9, matching(2, 4), None),
+    (star(12, 4), 12, matching(3, 4), None),
+    (complete(12, 4), 12, matching(3, 4), tuple(range(1, 13))),
+    (complete(9, 4), 9, matching(2, 4), tuple(range(1, 10))),
+], ids=["split12-p9", "star12-M3-p12", "complete12-M3-p12", "complete9-p9"])
+def test_core_free_beyond_two_edges_and_p_2r(G, p, F, core):
+    rep = is_core_free(G, p, F)
+    assert rep.free == (core is None)
+    if core is not None:
+        assert rep.witness[0] == core
+        assert rep.witness[1] == tuple(sorted(F.edges))
+
+
+def test_core_free_refuses_a_pattern_that_is_not_a_matching():
+    path = Hypergraph(4, 7, frozenset({(1, 2, 3, 4), (4, 5, 6, 7)}))
+    with pytest.raises(ValueError, match="must be a matching"):
+        is_core_free(complete(9, 4), 8, path)
+    # isolated vertices are fine: the core only has to be large enough
+    padded = Hypergraph(4, 10, matching(2, 4).edges)
+    assert is_core_free(complete(10, 4), 10, padded).witness[0] == tuple(range(1, 11))
 
 
 def test_hom_search_cross_validation():
