@@ -533,27 +533,37 @@ def test_both_process_entry_points_return_through_run(tmp_path):
 
 def test_closed_output_pipe_ends_quietly(tmp_path):
     # the reader takes the first bytes of a document of 0.1 to 0.5 MB and
-    # closes the pipe while the writer still has most of it to write.  With
-    # stdout unbuffered, one large write to such a pipe can end short
-    # without an error, so the run has to write in smaller pieces
+    # closes the pipe while the writer still has most of it to write, or
+    # closes it before a short document is written at all.  Each command
+    # runs twice.  With stdout buffered, what is still in the buffer must
+    # not fail again at the flush on exit; the short document is all still
+    # buffered when the run flushes it.  With stdout unbuffered, one large
+    # write to such a pipe can end short without an error, so the run has
+    # to write in smaller pieces
     split28 = write_graph(tmp_path, split(28, 4), "split28.hg")
     complete24 = write_graph(tmp_path, complete(24, 4), "complete24.hg")
-    env = dict(os.environ, PYTHONUNBUFFERED="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    buffered["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, buffered.get("PYTHONPATH")) if p
+    )
+    unbuffered = dict(buffered, PYTHONUNBUFFERED="1")
     for argv, head in [
         (["symmetrize", "--graph", split28, "--alpha", "0.05", "--format", "json"],
          b"{\n"),
         (["family", "--name", "complete", "--n", "30"], b"4 30\n"),
         (["family", "--name", "complete", "--n", "30", "--format", "json"], b'{"r": 4'),
         (["compress", "--graph", complete24, "--t", "7"], b"4 24\n"),
+        (["family", "--name", "star", "--n", "6"], b""),
     ]:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "hlag", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        assert proc.stdout.read(len(head)) == head, argv
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait() == 1, argv
-        assert err == b"", argv
+        for env in (buffered, unbuffered):
+            mode = "unbuffered" if "PYTHONUNBUFFERED" in env else "buffered"
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "hlag", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            )
+            assert proc.stdout.read(len(head)) == head, (argv, mode)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert proc.wait() == 1, (argv, mode)
+            assert err == b"", (argv, mode)
