@@ -82,8 +82,8 @@ _EXPORTS = {
             "min_sigma_partition", "sigma_score",
         )),
         ("solver", (
-            "KktReport", "LagrangianResult", "SolverConfig", "densify",
-            "evaluate", "gradient", "kkt_report", "kkt_residual", "maximize",
+            "KktReport", "LagrangianResult", "SolverConfig", "evaluate",
+            "gradient", "kkt_report", "kkt_residual", "maximize",
             "uncovered_reduce",
         )),
         ("symmetrize", (

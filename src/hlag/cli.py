@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Every subcommand accepts --format after its name; those with randomness
-take --seed.  Seeded runs are byte-identical.  ``search`` and ``verify``
-run serially and accept only --jobs 1.
+(``maximize``, ``compress``, ``partition``) take --seed, and seeded runs
+are byte-identical.  ``search`` and ``verify`` draw no random number:
+``auto`` solves every verify claim by support enumeration.  Both run
+serially and accept only --jobs 1.
 Exit codes: 0 success, 1 witness or violation found or an iteration bound
 reached, 2 usage or input error.
 
@@ -298,7 +300,7 @@ def cmd_verify(args) -> int:
     if args.suite == "cases":
         n_min = args.n_min if args.n_min is not None else 8
         n_max = args.n_max if args.n_max is not None else 14
-        rows = verify_cases(range(n_min, n_max + 1), seed=args.seed)
+        rows = verify_cases(range(n_min, n_max + 1))
         if args.format == "json":
             _emit_json([_record(r) for r in rows])
             return 0 if all(r.passed for r in rows) else 1
@@ -420,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[fmt, jobs], help="verification suites")
     p.add_argument("--suite", choices=("cases", "theorem"), required=True)
-    p.add_argument("--seed", type=int, default=0, help="read by --suite cases only")
     p.add_argument("--n-min", type=int, default=None,
                    help="default 8 for cases, 4 for theorem")
     p.add_argument("--n-max", type=int, default=None,

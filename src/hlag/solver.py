@@ -12,15 +12,15 @@ cross-check each other:
 * ``support-enum`` — exact enumeration of candidate supports, solving the
   stationarity system on each support by damped Newton from its uniform
   point, with at most one retry chosen by how that run ended: from a
-  degree-weighted seed after a stall inside the face, and from the
+  degree-weighted seed after any run that did not resolve, and from the
   multistart ascent on the support after a saddle; on a left-compressed
   graph only the prefix supports of classes in label order are tried, at
   most one per class, and otherwise every subset of at most
   ``ENUM_CLASSES`` classes; no support is tried on fewer vertices than a
   complete graph would need to reach the best value found.
 
-``auto`` picks support-enum for n <= 8 and for left-compressed graphs of
-any size; multistart otherwise.
+``auto`` picks support-enum for left-compressed graphs of any size and for
+graphs of at most 8 classes (so for every n <= 8); multistart otherwise.
 
 Both routes solve on the classes of vertices with mirrored links rather
 than on vertices: swapping two such vertices is an automorphism, so
@@ -74,7 +74,6 @@ __all__ = [
     "kkt_residual",
     "kkt_report",
     "maximize",
-    "densify",
     "uncovered_reduce",
 ]
 
@@ -94,14 +93,15 @@ _BOUNDARY_STREAK = 5  # Newton iterations in a row with no feasible step >= 1/2
 class SolverConfig:
     """Knobs for :func:`maximize`.
 
-    ``method`` is ``auto`` (support enumeration for n <= 8 and for
-    left-compressed graphs, multistart ascent otherwise), ``support-enum``
-    or ``multistart-ascent``.  The ascent runs ``restarts`` Dirichlet
-    starts drawn from ``seed`` plus the uniform one.  It stops as soon as
-    a Newton-polished point is certified stationary and no start beats it,
-    else once no start gains ``STALL_TOL`` for 20 steps or after
-    ``MAX_ITERATIONS`` steps.  Support enumeration on a graph that is not
-    left-compressed needs at most ``ENUM_CLASSES`` classes.
+    ``method`` is ``auto`` (support enumeration for left-compressed graphs
+    and for graphs of at most 8 classes, multistart ascent otherwise),
+    ``support-enum`` or ``multistart-ascent``.  The ascent runs
+    ``restarts`` Dirichlet starts drawn from ``seed`` plus the uniform
+    one.  It stops as soon as a Newton-polished point is certified
+    stationary and no start beats it, else once no start gains
+    ``STALL_TOL`` for 20 steps or after ``MAX_ITERATIONS`` steps.  Support
+    enumeration on a graph that is not left-compressed needs at most
+    ``ENUM_CLASSES`` classes.
     """
 
     method: str = "auto"
@@ -516,22 +516,23 @@ def _solve_support(T: _Terms, Ts: _Terms, S, k: int) -> _NewtonRun:
     more run, chosen by how the first ended.
 
     Ts is T restricted to the sorted support S (0-based labels of T's k
-    variables).  A ``boundary`` run is kept: the face's stationary point
-    lies outside it.  An ``interior`` stall is retried from a
-    degree-weighted seed; this decides star(n, 4) for n in
-    {6, 7, 10, 11, 12}, whose bordered Jacobian is singular at the uniform
-    start, so no step is feasible at the first iteration.  A ``resolved``
-    point with a tangent ascent direction is a saddle, and it is retried
-    from the multistart ascent on Ts from its uniform point.  The retry
-    replaces the first run when it resolves and the first did not, or when
-    both resolve and it reaches a higher value.
+    variables).  A run that did not resolve, ``boundary`` or ``interior``,
+    is retried from a degree-weighted seed.  An ``interior`` stall there
+    decides star(n, 4) for n in {6, 7, 10, 11, 12}, whose bordered Jacobian
+    is singular at the uniform start, so no step is feasible at the first
+    iteration; a ``boundary`` run from the uniform point can leave the
+    face that holds the optimum, which the seeded run then finds.  A
+    ``resolved`` point with a tangent ascent direction is a saddle, and it
+    is retried from the multistart ascent on Ts from its uniform point.
+    The retry replaces the first run when it resolves and the first did
+    not, or when both resolve and it reaches a higher value.
     """
     run = _newton_on_support(Ts, S, k)
     m = len(S)
-    if run.label == "interior":
+    if run.label != "resolved":
         seed = np.bincount(Ts.E.ravel(), minlength=m) + 1.0
         x0 = seed / seed.sum()
-    elif run.label == "resolved" and _tangent_ascent_exists(Ts, run[0][S]):
+    elif _tangent_ascent_exists(Ts, run[0][S]):
         x0 = _multistart(Ts, np.full((1, m), 1.0 / m))
     else:
         return run
@@ -758,38 +759,20 @@ def maximize(G: Hypergraph, cfg: SolverConfig | None = None) -> LagrangianResult
         support = tuple(range(1, G.n + 1))
         return LagrangianResult(0.0, x, support, 0.0, method, 0, cfg.seed)
     # a left-compressed graph has an optimum on a prefix of its classes,
-    # so support enumeration tries at most one support per class
+    # so support enumeration tries at most one support per class; any
+    # other graph is enumerated when it has at most 8 classes
     prefix_only = method != "multistart-ascent" and is_left_compressed(G)
+    classes = _degree_runs(G.edges, G.n) if prefix_only else _classes(G)
     if method == "auto":
-        exact = G.n <= 8 or prefix_only
+        exact = prefix_only or len(classes) <= 8
         method = "support-enum" if exact else "multistart-ascent"
     value, x, used = _solve_quotient(
-        G.edge_list(), G.n, G.r,
-        _degree_runs(G.edges, G.n) if prefix_only else _classes(G),
-        method, prefix_only, cfg,
+        G.edge_list(), G.n, G.r, classes, method, prefix_only, cfg
     )
     weighting = tuple(x.tolist())
     support = tuple(i + 1 for i in range(G.n) if weighting[i] > 0.0)
     residual = kkt_residual(G, weighting, value)
     return LagrangianResult(value, weighting, support, residual, method, used, cfg.seed)
-
-
-def densify(G: Hypergraph, cfg: SolverConfig | None = None):
-    """Restrict to optimum supports until the optimum has full support.
-
-    Returns (dense subgraph, its LagrangianResult); the value matches the
-    input graph's Lagrangian.
-    """
-    cfg = cfg or SolverConfig()
-    current = G
-    while True:
-        res = maximize(current, cfg)
-        if len(res.support) == current.n:
-            return current, res
-        if not res.support:
-            empty = Hypergraph(current.r, 0, frozenset())
-            return empty, maximize(empty, cfg)
-        current, _ = induced(current, res.support)
 
 
 def uncovered_reduce(G: Hypergraph, cfg: SolverConfig | None = None) -> Hypergraph:

@@ -446,7 +446,7 @@ def test_criterion_9_seeded_cli_determinism(tmp_path):
         ("partition", ["partition", "--graph", str(graph), "--seed", "4",
                        "--format", "json"]),
         ("verify", ["verify", "--suite", "cases", "--n-min", "8", "--n-max",
-                    "8", "--seed", "1", "--format", "json"]),
+                    "8", "--format", "json"]),
     ]
     artifacts = {
         "search": "search-n6-max.hg",

@@ -346,10 +346,12 @@ def test_verify_theorem_rejects_restarts(capsys, tmp_path):
         ("verify --suite theorem --jobs 2", "invalid choice"),
         ("search --n 6 --jobs -3", "invalid choice"),
         ("search --n 6 --seed 5", "unrecognized arguments: --seed 5"),
+        ("verify --suite cases --seed 5", "unrecognized arguments: --seed 5"),
     ],
 )
 def test_jobs_and_seed_usage_errors(capsys, tmp_path, argv, message):
-    # every run is serial and the search draws no random number
+    # every run is serial, and neither the search nor verify draws a
+    # random number
     with pytest.raises(SystemExit) as ei:
         main(argv.split() + ["--witness-dir", str(tmp_path)])
     assert ei.value.code == 2
@@ -381,7 +383,7 @@ def test_shared_flags_only_where_read():
         },
         "symmetrize": fmt | {"--graph", "--alpha", "--fixed-n", "--trace"},
         "partition": seeded | {"--graph", "--restarts", "--exhaustive"},
-        "verify": seeded | {
+        "verify": fmt | {
             "--jobs", "--suite", "--n-min", "--n-max", "--witness-dir", "--unsafe-size",
         },
     }

@@ -80,6 +80,16 @@ def test_dense_and_compress_fixed_point_is_idempotent():
     assert trace.steps == ()
 
 
+def test_dense_and_compress_drops_zero_weight_vertices():
+    # a complete 7-graph plus an isolated vertex: the optimum ignores vertex 8
+    G = Hypergraph(4, 8, complete(7, 4).edges)
+    final, res, trace = dense_and_compress(G, 2)
+    assert final == complete(7, 4)
+    assert res.value == pytest.approx(5 / 343, abs=1e-9)
+    assert len(res.support) == 7
+    assert [(s.kind, s.removed) for s in trace.steps] == [("densify", (8,))]
+
+
 def test_dense_and_compress_star_untouched():
     final, res, trace = dense_and_compress(star(8, 4), 2)
     assert final == star(8, 4)

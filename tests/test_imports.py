@@ -198,7 +198,7 @@ def test_search_calls_the_bound_solver(counted_call):
 
 
 def test_package_names_are_the_submodules_objects():
-    assert len(hlag.__all__) == len(set(hlag.__all__)) == 77
+    assert len(hlag.__all__) == len(set(hlag.__all__)) == 76
     for name in hlag.__all__:
         obj = getattr(hlag, name)
         module = sys.modules[obj.__module__]

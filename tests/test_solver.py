@@ -43,7 +43,6 @@ from hlag.solver import (
     _solve_quotient,
     _tangent_ascent_exists,
     _Terms,
-    densify,
     evaluate,
     gradient,
     kkt_report,
@@ -51,7 +50,7 @@ from hlag.solver import (
     maximize,
     uncovered_reduce,
 )
-from hlag.verify import RESTARTS, verify_cases, verify_theorem
+from hlag.verify import verify_cases, verify_theorem
 
 # support-enum exact value, frozen from an independent pre-build optimizer
 K53MINUS2_VALUE = 0.06727599372434985
@@ -140,6 +139,48 @@ def test_support_enum_reseeds_past_a_saddle():
         assert exact.support == support, n
         assert exact.kkt_residual <= 1e-8, n
         assert abs(exact.value - ascent.value) <= 1e-9, n
+
+
+def _graph(n, edges):
+    """The 4-graph on [n] with the edges written as digit strings."""
+    return Hypergraph(4, n, frozenset(tuple(map(int, e)) for e in edges.split()))
+
+
+def _short(gap):
+    return pytest.mark.xfail(
+        strict=True, reason=f"support enumeration ends {gap} below multistart"
+    )
+
+
+# random 4-graphs on which support enumeration once ended below multistart,
+# because a run from the uniform point left the face holding the optimum
+# and was not retried.  Two are still short: on the full vertex set, where
+# the optimum lies, the degree-seeded retry ends boundary too
+@pytest.mark.parametrize("G", [
+    _graph(7, "1234 1235 1246 1247 1257 1356 2456 3467 3567"),
+    pytest.param(_graph(8, "1237 1246 1248 1258 1267 1348 1356 1367 1457 1458 1468 "
+                           "1578 1678 2345 2357 2567 2568 2578 3468 3568 3678 4568"),
+                 marks=_short(8.5e-6)),
+    _graph(8, "1236 1245 1247 1258 1278 1348 1356 1368 1478 2358 2367 2368 2567 "
+              "3567 3678 4567"),
+    _graph(8, "1236 1248 1268 1278 1346 1357 1358 1468 1568 1678 2356 2457 2478 "
+              "2567 2568 3567 3578 4568"),
+    _graph(8, "1234 1238 1245 1246 1247 1248 1256 1257 1268 1347 1356 1368 1457 "
+              "1467 1478 1578 1678 2345 2346 2356 2358 2378 2567 3456 4568 4578 "
+              "5678"),
+    _graph(8, "1235 1238 1246 1248 1267 1367 1456 1457 1467 1567 1568 1578 1678 "
+              "2345 2346 2348 2457 2468 2567 2568 3457 3458 3467 3468 3567 3568 "
+              "3678 4567 5678"),
+    _graph(8, "1235 1245 1246 1247 1256 1258 1278 2346 2358 2368 2456 2468 2568 "
+              "2678 3456 3567 3578 3678 4567 4678 5678"),
+    _graph(7, "1235 1236 1245 1345 1456 1567 2347 2356 2367 2567 3467 4567"),
+    pytest.param(_graph(7, "1235 1237 1246 1247 1257 1356 2347 2356 2456 3456 3467 "
+                           "3567"),
+                 marks=_short(1.05e-4)),
+], ids=[f"random{i}" for i in range(9)])
+def test_auto_is_not_below_multistart_on_random_graphs(G):
+    ascent = maximize(G, SolverConfig(method="multistart-ascent")).value
+    assert maximize(G).value >= ascent - 1e-12
 
 
 @pytest.mark.parametrize("G", [k53minus2(), case_family(5, 8)], ids=["lc", "not-lc"])
@@ -304,13 +345,12 @@ def _star_stall():
 
 # Newton runs of the 72 maximal families' solves, as (runs once the
 # complete-graph bound prunes supports, runs of the reference that solves
-# every support), with the boundary stop and with it turned off, where no
-# run is labelled boundary and every stall is an interior one and retried
+# every support).  They are the same with the boundary stop and with it
+# turned off: a run stopped as boundary gets the seeded retry, as the same
+# run unstopped gets it after stalling inside its face.  With the stop,
+# before boundary runs were retried, they were (119, 208), (252, 1127),
+# (117, 206) and (361, 1142)
 NEWTON_RUNS = {
-    (8, True): (119, 208), (8, False): (252, 1127),
-    (9, True): (117, 206), (9, False): (361, 1142),
-}
-UNSTOPPED_NEWTON_RUNS = {
     (8, True): (137, 226), (8, False): (304, 1188),
     (9, True): (136, 225), (9, False): (424, 1207),
 }
@@ -328,9 +368,9 @@ def test_one_pass_line_search_matches_the_halving_loop(monkeypatch, n, prefix):
     if not prefix:
         monkeypatch.setattr("hlag.solver.is_left_compressed", lambda G: False)
     cfg = SolverConfig(method="support-enum")
-    pinned = {None: UNSTOPPED_NEWTON_RUNS[n, prefix], 5: NEWTON_RUNS[n, prefix]}
+    pruned_runs, reference_runs = NEWTON_RUNS[n, prefix]
     support_enum = hlag.solver._support_enum
-    for streak_stop, (pruned_runs, reference_runs) in pinned.items():
+    for streak_stop in (None, 5):
         checked = _checked_newton(monkeypatch, streak_stop)
         monkeypatch.setattr("hlag.solver._support_enum", support_enum)
         for G in _maximal_families(n):
@@ -372,13 +412,12 @@ def test_degree_retry_decides_the_star():
     assert res.value - evaluate(star(6, 4), [1 / 6] * 6) > 7e-4
 
 
-def _support_enum_reference(r, T, sizes, prefix_only, retry_on_boundary=False):
+def _support_enum_reference(r, T, sizes, prefix_only):
     """``_support_enum`` before the complete-graph bound: every candidate
     support is solved, in mask order, by Newton from its uniform point and
-    at most one retry: from the degree-weighted seed after an ``interior``
-    stall, and from the one-row multistart ascent after a resolved saddle.
-    With ``retry_on_boundary`` a ``boundary`` run gets the degree-seeded
-    retry too.  Newton and the ascent are looked up on ``hlag.solver`` per
+    at most one retry: from the degree-weighted seed after a run that did
+    not resolve, and from the one-row multistart ascent after a resolved
+    saddle.  Newton and the ascent are looked up on ``hlag.solver`` per
     call, so a patched ``_newton_on_support`` sees the reference's runs
     too."""
     k = T.n
@@ -402,7 +441,7 @@ def _support_enum_reference(r, T, sizes, prefix_only, retry_on_boundary=False):
         run = hlag.solver._newton_on_support(Ts, S, k)
         tried += 1
         retry = None
-        if run.label == "interior" or (retry_on_boundary and run.label == "boundary"):
+        if run.label != "resolved":
             seed = np.bincount(Ts.E.ravel(), minlength=len(S)) + 1.0
             retry = hlag.solver._newton_on_support(Ts, S, k, x0=seed / seed.sum())
         elif run.label == "resolved" and _tangent_ascent_exists(Ts, run[0][S]):
@@ -455,30 +494,18 @@ def _without_supports_tried(res):
 @functools.cache
 def _corpus_solves():
     """The solves of ``_solver_corpus("retry-gate", 200)`` and their
-    results: support enumeration on every graph, and ``auto`` on those
-    with n > 8, where it may route to multistart instead (on n <= 8 it
-    makes the very same support-enum call).  Shared by the tests that
+    results: support enumeration on every graph, which is also what
+    ``auto`` runs on each, and multistart on case 5 at n = 9..12, so that
+    the ascent's Newton polish is covered too.  Shared by the tests that
     re-solve the corpus with a reference routine; call it before patching
     the solver."""
     graphs = _solver_corpus("retry-gate", 200)
     solves = [(G, SolverConfig(method="support-enum")) for G in graphs]
-    solves += [(G, SolverConfig()) for G in graphs if G.n > 8]
+    solves += [
+        (case_family(5, n), SolverConfig(method="multistart-ascent"))
+        for n in range(9, 13)
+    ]
     return solves, [maximize(G, cfg) for G, cfg in solves]
-
-
-def test_retry_after_interior_stalls_only_changes_no_result(monkeypatch):
-    # the reference solves every support, so only the supports tried differ
-    solves, gated = _corpus_solves()
-    monkeypatch.setattr(
-        "hlag.solver._support_enum",
-        functools.partial(_support_enum_reference, retry_on_boundary=True),
-    )
-    always = [maximize(G, cfg) for G, cfg in solves]
-    assert len(solves) == 559
-    assert sum(r.method == "support-enum" for r in gated) == 555
-    for (G, _), a, b in zip(solves, gated, always):
-        assert _without_supports_tried(a) == _without_supports_tried(b), G
-    assert sum(r.restarts_used for r in gated if r.method == "support-enum") == 1870
 
 
 def test_complete_graph_bound_prunes_no_winning_support(monkeypatch):
@@ -527,10 +554,12 @@ def test_streak_stop_keeps_a_run_that_resolves_after_three_short_steps():
 
 
 def test_kernel_counts_of_the_theorem_suite(monkeypatch):
-    # the counts repeat exactly.  Before Newton stopped runs pushed out of
-    # their face they were 2,035 gradients and 1,226 Hessians in 129 runs;
-    # before the saddle re-seed ran the multistart ascent, 965 gradients
-    # and 746 Hessians, with 106 runs resolved
+    # the counts repeat exactly.  Before runs that ended boundary were
+    # retried they were 874 gradients and 745 Hessians in 130 runs, 18 of
+    # them boundary.  Before Newton stopped runs pushed out of their face
+    # they were 2,035 gradients and 1,226 Hessians in 129 runs; before the
+    # saddle re-seed ran the multistart ascent, 965 gradients and 746
+    # Hessians, with 106 runs resolved
     calls = collections.Counter()
     for name in ("grad", "hessian"):
         kernel = getattr(_Terms, name)
@@ -549,14 +578,14 @@ def test_kernel_counts_of_the_theorem_suite(monkeypatch):
 
     monkeypatch.setattr("hlag.solver._newton_on_support", labelled)
     assert verify_theorem(n_min=4, n_max=8).passed
-    assert calls == {"grad": 874, "hessian": 745}
-    assert labels == {"resolved": 109, "boundary": 18, "interior": 3}
+    assert calls == {"grad": 977, "hessian": 837}
+    assert labels == {"resolved": 110, "boundary": 35, "interior": 3}
 
 
 @pytest.mark.parametrize("run, tried, dropped", [
-    (lambda: verify_theorem(n_min=4, n_max=8), 121, 18),
-    (lambda: verify_theorem(n_min=9, n_max=9), 113, 19),
-    (lambda: verify_cases(range(8, 15)), 211, 37),
+    (lambda: verify_theorem(n_min=4, n_max=8), 121, 17),
+    (lambda: verify_theorem(n_min=9, n_max=9), 113, 18),
+    (lambda: verify_cases(range(8, 15)), 385, 55),
 ], ids=["theorem-n4-8", "theorem-n9", "cases-n8-14"])
 def test_dropped_support_counts(monkeypatch, run, tried, dropped):
     # the supports solved, and those that no run resolves, which support
@@ -587,28 +616,46 @@ def test_multistart_never_beats_the_verify_solve():
     # multistart finds nothing better
     graphs = [case_family(k, n) for k in range(1, 15) for n in range(8, 13)]
     graphs += [star(n, 4) for n in range(4, 11)]
-    ascent = SolverConfig(method="multistart-ascent", restarts=RESTARTS)
+    ascent = SolverConfig(method="multistart-ascent", restarts=16)
     exact = 0
     for G in graphs:
-        res = maximize(G, SolverConfig(restarts=RESTARTS))
+        res = maximize(G)
         if res.method == "multistart-ascent":
             continue  # the very same call
         exact += 1
         assert maximize(G, ascent).value <= res.value + 1e-12, G
-    # every claim but case 5 at n = 9..12 is left-compressed or has n <= 8
-    assert exact == 77 - 4
+    # every claim is left-compressed or has at most 8 classes
+    assert exact == 77
+
+
+def test_no_case_claim_reaches_multistart(monkeypatch):
+    # every solve of the case table, uncovered-pair reductions included,
+    # is by support enumeration, so the table draws no random number
+    methods = collections.Counter()
+    solve = hlag.solver._solve_quotient
+
+    def recording(edges, n, r, classes, method, prefix_only, cfg):
+        methods[method] += 1
+        return solve(edges, n, r, classes, method, prefix_only, cfg)
+
+    monkeypatch.setattr("hlag.solver._solve_quotient", recording)
+    verify_cases(range(8, 15))
+    verify_cases([30])
+    assert methods["support-enum"] > 0
+    assert methods["multistart-ascent"] == 0
 
 
 def test_newton_run_counts_of_the_n8_family_solves(monkeypatch):
-    # each support gets at most one retry: 7 seeded runs.  One is the
-    # degree-seeded retry after an interior stall (the 40th family in walk
-    # order); the other 6 re-seed the saddles of the 36th, 37th and 57th,
-    # each by one Newton polish inside the ascent and one Newton run from
-    # the ascent's point.  There were 4 when the saddle re-seed was a
-    # separate single-row ascent with no polish of its own, and 6 before
-    # Newton stopped runs pushed out of their face: the retries on the
-    # 6-class prefix of the 26th family and on the 5-class prefix of the
-    # 30th followed such runs, and neither resolved (they ended at
+    # each support gets at most one retry: 25 seeded runs.  19 are
+    # degree-seeded retries after the 18 runs that ended boundary and the
+    # one interior stall (the 40th family in walk order); the other 6
+    # re-seed the saddles of the 36th, 37th and 57th, each by one Newton
+    # polish inside the ascent and one Newton run from the ascent's point.
+    # There were 7 before boundary runs were retried, 4 when the saddle
+    # re-seed was a separate single-row ascent with no polish of its own,
+    # and 6 before Newton stopped runs pushed out of their face: the retries
+    # on the 6-class prefix of the 26th family and on the 5-class prefix of
+    # the 30th followed such runs, and neither resolved (they ended at
     # residuals 0.0124 and 0.0115).  There were 8 before the complete-graph
     # bound, when 197 supports were solved, and 24 when the retry also ran
     # after a stall on the face boundary
@@ -621,7 +668,7 @@ def test_newton_run_counts_of_the_n8_family_solves(monkeypatch):
     monkeypatch.setattr("hlag.solver._newton_on_support", counting)
     for G in _maximal_families(8):
         maximize(G)
-    assert runs == {"uniform": 112, "seeded": 7}
+    assert runs == {"uniform": 112, "seeded": 25}
 
 
 @pytest.mark.parametrize("G, method", [
@@ -630,15 +677,29 @@ def test_newton_run_counts_of_the_n8_family_solves(monkeypatch):
     (star(13, 4), "support-enum"),
     (Hypergraph(4, 9, frozenset(  # the centre relabeled 9
         tuple(sorted(10 - v for v in e)) for e in star(9, 4).edges
-    )), "multistart-ascent"),
+    )), "support-enum"),
 ], ids=["lc-n9", "lc-n12", "lc-n13", "not-lc-n9"])
 def test_auto_solves_left_compressed_graphs_by_prefix_enumeration(G, method):
     res = maximize(G)
     assert res.method == method
     assert res.value == pytest.approx(float(star_lambda(G.n)), abs=1e-12)
-    if method == "support-enum":
+    if is_left_compressed(G):
         # one prefix per class at most: the centre, then both classes
-        assert is_left_compressed(G) and res.restarts_used <= 2
+        assert res.restarts_used <= 2
+    else:
+        # two classes, so every subset of them is a candidate
+        assert len(_classes(G)) == 2 and res.restarts_used <= 3
+
+
+def test_auto_sends_graphs_of_more_than_8_classes_to_multistart():
+    # the tight path on [9] is not left-compressed and no two of its
+    # vertices are mirrored, so it has 9 classes
+    G = _tight_path(9)
+    assert not is_left_compressed(G) and len(_classes(G)) == 9
+    res = maximize(G)
+    assert res.method == "multistart-ascent"
+    exact = maximize(G, SolverConfig(method="support-enum"))
+    assert res.value == pytest.approx(exact.value, abs=1e-12)
 
 
 def test_prefix_enumeration_matches_multistart_at_n9():
@@ -923,21 +984,6 @@ def test_kkt_report_structure():
     assert isinstance(rep.uncovered_support_pairs, tuple)
 
 
-def test_densify_drops_zero_weight_vertices():
-    # a complete 7-graph plus an isolated vertex: the optimum ignores vertex 8
-    G = Hypergraph(4, 8, complete(7, 4).edges)
-    H, res = densify(G)
-    assert H.n == 7
-    assert res.value == pytest.approx(5 / 343, abs=1e-9)
-    assert len(res.support) == 7
-
-
-def test_densify_fixed_point_on_dense_graph():
-    H, res = densify(star(8, 4))
-    assert H == star(8, 4)
-    assert res.value == pytest.approx(float(star_lambda(8)), abs=1e-9)
-
-
 def test_uncovered_reduce_matching():
     R = uncovered_reduce(matching(2, 4))
     assert R.n == 4
@@ -1080,7 +1126,9 @@ def test_multistart_certifies_the_case_families(n):
 
 
 # maximize values before the ascent handed off to Newton early: the case
-# families at n = 12, and random17 relabeled by seeds 1..6
+# families at n = 12, and random17 relabeled by seeds 1..6.  The case
+# families are solved by the ascent itself, since auto sends them all to
+# support enumeration
 BASIN_CASES_N12 = (
     0.012865175752650242, 0.012515954786373455, 0.011910395337240628,
     0.011306250001234664, 0.011884907305010281, 0.011890697031738994,
@@ -1096,7 +1144,8 @@ BASIN_RANDOM17 = (
 
 def test_early_handoff_keeps_the_basin():
     for k, value in enumerate(BASIN_CASES_N12, start=1):
-        assert maximize(case_family(k, 12)).value == pytest.approx(value, abs=1e-12), k
+        res = maximize(case_family(k, 12), SolverConfig(method="multistart-ascent"))
+        assert res.value == pytest.approx(value, abs=1e-12), k
     for seed, value in enumerate(BASIN_RANDOM17, start=1):
         assert maximize(_random17(seed)).value == pytest.approx(value, abs=1e-12), seed
 
