@@ -984,6 +984,14 @@ def test_kkt_report_structure():
     assert isinstance(rep.uncovered_support_pairs, tuple)
 
 
+def test_densify_fixed_point_on_dense_graph():
+    # every vertex of the star carries weight: the densify loop deletes nothing
+    H, res, trace = dense_and_compress(star(8, 4), 2)
+    assert H == star(8, 4)
+    assert [s for s in trace.steps if s.kind == "densify"] == []
+    assert res.value == pytest.approx(float(star_lambda(8)), abs=1e-9)
+
+
 def test_uncovered_reduce_matching():
     R = uncovered_reduce(matching(2, 4))
     assert R.n == 4
