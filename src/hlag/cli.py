@@ -4,7 +4,7 @@ Every subcommand accepts --format after its name; those with randomness
 (``maximize``, ``compress``, ``partition``) take --seed, and seeded runs
 are byte-identical.  ``search`` and ``verify`` draw no random number:
 ``auto`` solves every verify claim by support enumeration.  Both run
-serially and accept only --jobs 1.
+serially; ``verify`` still accepts --jobs 1, its only value.
 Exit codes: 0 success, 1 witness or violation found or an iteration bound
 reached, 2 usage or input error.
 
@@ -352,9 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
-    jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, choices=(1,), default=1,
-                      help="the only value is 1: every run is serial")
 
     parser = argparse.ArgumentParser(
         prog="hlag",
@@ -399,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None)
     p.set_defaults(func=cmd_free)
 
-    p = sub.add_parser("search", parents=[fmt, jobs], help="exhaustive extremal search")
+    p = sub.add_parser("search", parents=[fmt], help="exhaustive extremal search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=4)
     p.add_argument("--t", type=int, default=2)
@@ -420,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true")
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("verify", parents=[fmt, jobs], help="verification suites")
+    p = sub.add_parser("verify", parents=[fmt], help="verification suites")
+    p.add_argument("--jobs", type=int, choices=(1,), default=1,
+                   help="the only value is 1: every run is serial")
     p.add_argument("--suite", choices=("cases", "theorem"), required=True)
     p.add_argument("--n-min", type=int, default=None,
                    help="default 8 for cases, 4 for theorem")

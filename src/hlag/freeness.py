@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import _bind, _lazy
-from .core import Hypergraph
+from .core import Hypergraph, uncovered_pairs
 from .errors import UnsupportedSizeError
 from .families import extension
 
@@ -41,8 +41,8 @@ class FreenessReport:
     witness: tuple | None = None
 
 
-def _edge_masks(G: Hypergraph):
-    return [sum(1 << (v - 1) for v in e) for e in G.edge_list()]
+def _edge_masks(edges):
+    return [sum(1 << (v - 1) for v in e) for e in edges]
 
 
 def _max_matching(masks, n, r, stop_at=None):
@@ -85,7 +85,7 @@ def matching_number(G: Hypergraph) -> int:
     """Maximum number of pairwise disjoint edges."""
     if not G.edges:
         return 0
-    size, _ = _max_matching(_edge_masks(G), G.n, G.r)
+    size, _ = _max_matching(_edge_masks(G.edge_list()), G.n, G.r)
     return size
 
 
@@ -95,21 +95,10 @@ def is_matching_free(G: Hypergraph, t: int) -> FreenessReport:
     if t < 1:
         return FreenessReport(pattern, False, witness=())
     edge_list = G.edge_list()
-    size, pick = _max_matching(_edge_masks(G), G.n, G.r, stop_at=t)
+    size, pick = _max_matching(_edge_masks(edge_list), G.n, G.r, stop_at=t)
     if size >= t:
         return FreenessReport(pattern, False, tuple(edge_list[k] for k in pick))
     return FreenessReport(pattern, True)
-
-
-def _covered_matrix(G: Hypergraph):
-    """Row v (1-based) = bitmask of vertices sharing an edge with v."""
-    rows = [0] * (G.n + 1)
-    for e in G.edges:
-        for v in e:
-            for w in e:
-                if w != v:
-                    rows[v] |= 1 << (w - 1)
-    return rows
 
 
 def _cliques(pool, s, narrow):
@@ -153,23 +142,25 @@ def is_core_free(G: Hypergraph, p: int, F: Hypergraph) -> FreenessReport:
         raise ValueError("pattern F must be a matching: its edges meet")
     if G.n < p:
         return FreenessReport(pattern, True)
-    covered = _covered_matrix(G)
     edge_list = G.edge_list()
-
-    # over edge indices, fits[v] holds the edges that can sit beside an edge
-    # through v: those that miss v and meet only vertices covered with v
     through = [0] * (G.n + 1)
     for j, e in enumerate(edge_list):
         for v in e:
             through[v] |= 1 << j
     every = (1 << len(edge_list)) - 1
-    fits = [0] * (G.n + 1)
-    for v in range(1, G.n + 1):
-        clash = through[v]
-        for u in range(1, G.n + 1):
-            if u != v and not covered[v] >> (u - 1) & 1:
-                clash |= through[u]
-        fits[v] = every & ~clash
+
+    # covered[v] (1-based) holds the vertices sharing an edge with v; over
+    # edge indices, fits[v] holds the edges that can sit beside an edge
+    # through v: those that miss v and meet only vertices covered with v
+    everyone = (1 << G.n) - 1
+    covered = [0] + [everyone & ~(1 << v) for v in range(G.n)]
+    clash = list(through)
+    for u, v in uncovered_pairs(G):
+        covered[u] &= ~(1 << (v - 1))
+        covered[v] &= ~(1 << (u - 1))
+        clash[u] |= through[v]
+        clash[v] |= through[u]
+    fits = [every & ~c for c in clash]
 
     def partners(k):
         a, *rest = edge_list[k]
@@ -181,7 +172,7 @@ def is_core_free(G: Hypergraph, p: int, F: Hypergraph) -> FreenessReport:
     by_bit = covered[1:]
     for picked in _cliques(every, len(F.edges), partners):
         used = [v for k in picked for v in edge_list[k]]
-        pool = (1 << G.n) - 1
+        pool = everyone
         for v in used:
             pool &= covered[v]
         extra = next(_cliques(pool, p - len(used), by_bit.__getitem__), None)
@@ -204,7 +195,11 @@ def hom_search(G: Hypergraph, F: Hypergraph, p: int):
             f"hom search needs n <= {HOM_GUARD_N}, got n={G.n}"
         )
     H = extension(F, p)
-    hedges = sorted(H.edges)
+    # placing v changes only the assigned sets of the edges through v
+    through = [[] for _ in range(H.n + 1)]
+    for e in sorted(H.edges):
+        for w in e:
+            through[w].append(e)
     # partial images must stay inside some edge of G
     partial_ok = set()
     for e in G.edges:
@@ -221,10 +216,8 @@ def hom_search(G: Hypergraph, F: Hypergraph, p: int):
                 continue
             assign.append(img)
             ok = True
-            for e in hedges:
+            for e in through[v]:
                 assigned = [assign[w - 1] for w in e if w <= v]
-                if not assigned:
-                    continue
                 image = tuple(sorted(set(assigned)))
                 if len(image) < len(assigned):
                     ok = False  # an edge may not collapse
@@ -266,7 +259,7 @@ class _ColexTable:
             itertools.combinations(range(1, n + 1), r), key=lambda e: e[::-1]
         ))
         index = {e: k for k, e in enumerate(self.edges)}
-        masks = [sum(1 << (v - 1) for v in e) for e in self.edges]
+        masks = _edge_masks(self.edges)
         preds = []
         for e in self.edges:
             se = set(e)
@@ -304,7 +297,9 @@ def _colex_table(n, r) -> _ColexTable:
 
 def _walk_table(n, r, t, guard) -> _ColexTable:
     """The colex table for a walk over r-graphs on [n] with no t disjoint
-    edges, after checking n against the guard and t >= 1."""
+    edges, after checking r >= 1, t >= 1 and n against the guard."""
+    if r < 1:
+        raise ValueError(f"uniformity r must be >= 1, got r={r}")
     if t < 1:
         raise ValueError(f"matching size t must be >= 1, got t={t}")
     guard = ENUM_GUARD_N if guard is None else guard

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Hypergraph, _degree_table
+from .core import Hypergraph
 from .errors import UnsupportedSizeError
 
 __all__ = [
@@ -34,8 +34,7 @@ def _check(G: Hypergraph, W1):
 
 def sigma_score(G: Hypergraph, W1) -> int:
     """bad + 2 * very_bad + 3 * worst over the partition (W1, rest)."""
-    W1 = _check(G, W1)
-    return sum(_CONTRIB[len(W1.intersection(e))] for e in G.edges)
+    return classify_edges(G, W1).sigma
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def min_sigma_partition(
                 f"exhaustive partition search needs n <= {EXACT_GUARD_N}, "
                 f"got n={G.n}"
             )
-        best_sigma, best_w1 = _branch_and_bound(G, edges, best_sigma, best_w1)
+        best_sigma, best_w1 = _branch_and_bound(G, incident, best_sigma, best_w1)
 
     score = classify_edges(G, best_w1)
     return MinSigmaResult(score=score, exhaustive=exhaustive, restarts=restarts)
@@ -149,20 +148,16 @@ def _lb(assigned, k, r):
     return 0 if k <= 1 else _CONTRIB[k]
 
 
-def _branch_and_bound(G, edges, best_sigma, best_w1):
+def _branch_and_bound(G, incident, best_sigma, best_w1):
     """Exact DFS over vertex assignments, high-degree vertices first,
-    pruning once the partial lower bound reaches the incumbent."""
+    pruning once the partial lower bound reaches the incumbent.
+    ``incident[v]`` lists the indices of the edges through v."""
     n, r = G.n, G.r
-    deg = _degree_table(edges, range(1, n + 1))
-    order = sorted(range(1, n + 1), key=lambda v: (-deg[v], v))
-    pos = {v: i for i, v in enumerate(order)}
-    inc = [[] for _ in range(n)]
-    for idx, e in enumerate(edges):
-        for v in e:
-            inc[pos[v]].append(idx)
+    order = sorted(range(1, n + 1), key=lambda v: (-len(incident[v]), v))
+    inc = [incident[v] for v in order]
 
-    assigned = [0] * len(edges)
-    in_w1 = [0] * len(edges)
+    assigned = [0] * len(G.edges)
+    in_w1 = [0] * len(G.edges)
     choice = [False] * n
     state = {"best": best_sigma, "w1": best_w1, "lb": 0}
 

@@ -227,6 +227,8 @@ def symmetrize(G: Hypergraph, alpha: float, fixed_n: int | None = None) -> SymTr
         raise ValueError(f"symmetrization is defined for 4-graphs, got r={G.r}")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if fixed_n is not None and fixed_n < 1:
+        raise ValueError(f"fixed_n must be >= 1, got {fixed_n}")
     report = is_core_free(G, 8, matching(2, 4))
     if not report.free:
         raise NotFreeError(

@@ -344,7 +344,7 @@ def test_verify_theorem_rejects_restarts(capsys, tmp_path):
     [
         ("verify --suite theorem --jobs 0", "invalid choice"),
         ("verify --suite theorem --jobs 2", "invalid choice"),
-        ("search --n 6 --jobs -3", "invalid choice"),
+        ("search --n 6 --jobs -3", "unrecognized arguments: --jobs"),
         ("search --n 6 --seed 5", "unrecognized arguments: --seed 5"),
         ("verify --suite cases --seed 5", "unrecognized arguments: --seed 5"),
     ],
@@ -378,9 +378,7 @@ def test_shared_flags_only_where_read():
         "maximize": seeded | {"--graph", "--method", "--restarts"},
         "compress": seeded | {"--graph", "--t"},
         "free": fmt | {"--graph", "--pattern", "--t", "--p"},
-        "search": fmt | {
-            "--jobs", "--n", "--r", "--t", "--witness-dir", "--unsafe-size",
-        },
+        "search": fmt | {"--n", "--r", "--t", "--witness-dir", "--unsafe-size"},
         "symmetrize": fmt | {"--graph", "--alpha", "--fixed-n", "--trace"},
         "partition": seeded | {"--graph", "--restarts", "--exhaustive"},
         "verify": fmt | {
@@ -458,6 +456,10 @@ def test_verify_theorem_rows_are_pinned(capsys, tmp_path, n):
         ("partition --graph SPLIT --restarts -2", "restarts must be >= 1"),
         ("symmetrize --graph SPLIT --alpha 1", "alpha must lie in"),
         ("symmetrize --graph SPLIT --alpha 2", "alpha must lie in"),
+        ("symmetrize --graph SPLIT --alpha 0.05 --fixed-n 0", "fixed_n must be >= 1, got 0"),
+        ("symmetrize --graph SPLIT --alpha 0.05 --fixed-n -5", "fixed_n must be >= 1, got -5"),
+        ("search --n 5 --r 0", "uniformity r must be >= 1, got r=0"),
+        ("search --n 5 --r -2", "uniformity r must be >= 1, got r=-2"),
     ],
 )
 def test_out_of_range_values_exit_2(capsys, tmp_path, argv, message):

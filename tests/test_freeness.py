@@ -223,6 +223,15 @@ def test_matching_size_below_one_is_rejected(t):
         extremal_lambda_search(7, 4, t)
 
 
+@pytest.mark.parametrize("r", [0, -2])
+def test_uniformity_below_one_is_rejected(r):
+    # an r-graph needs r >= 1, so the walk refuses before it builds a table
+    with pytest.raises(ValueError, match=f"got r={r}"):
+        list(enumerate_left_compressed_free(5, r, 2))
+    with pytest.raises(ValueError, match=f"got r={r}"):
+        extremal_lambda_search(5, r, 2)
+
+
 def test_search_n7_max_is_complete():
     res = extremal_lambda_search(7, 4, 2)
     assert res.families == 352

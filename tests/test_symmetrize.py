@@ -126,6 +126,13 @@ def test_symmetrize_argument_validation():
         symmetrize(split(12, 3) if False else Hypergraph(3, 6, frozenset()), alpha=0.05)
 
 
+@pytest.mark.parametrize("fixed_n", [0, -5])
+def test_symmetrize_rejects_fixed_n_below_one(fixed_n):
+    # a pinned n below 1 makes clean's degree threshold <= 0
+    with pytest.raises(ValueError, match=f"fixed_n must be >= 1, got {fixed_n}"):
+        symmetrize(split(12, 4), alpha=0.05, fixed_n=fixed_n)
+
+
 @pytest.mark.parametrize("alpha", [1.0, 2.0])
 def test_symmetrize_rejects_alpha_of_one_or_more(alpha):
     # the target vertex fraction 1 - alpha must be positive
